@@ -32,7 +32,6 @@ from .distances import (
     compute_avoid_set,
     compute_distances,
     compute_dmax,
-    compute_dmax_fixpoint,
     compute_dmin,
     state_interval,
 )
@@ -77,7 +76,6 @@ from .twin import (
     TwinReachability,
     build_twin,
     reachable_edges,
-    sim_related,
     witness_observations,
 )
 
@@ -119,7 +117,6 @@ __all__ = [
     "compute_avoid_set",
     "compute_distances",
     "compute_dmax",
-    "compute_dmax_fixpoint",
     "compute_dmin",
     "compute_frontier",
     "drifting_plant",
@@ -141,7 +138,6 @@ __all__ = [
     "run",
     "serialize_model",
     "short_fuse",
-    "sim_related",
     "state_interval",
     "unobservable_closure",
     "validate",

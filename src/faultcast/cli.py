@@ -297,7 +297,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         raise InvalidIntervalError(f"lead time must be a natural: {args.i}")
     model = _load(args)
     table = compute_distances(model)
-    twin = build_twin(model, witnesses=True)
+    twin = build_twin(model, witnesses=args.witness or args.format == "json")
     frontier = compute_frontier(model, table, twin)
     verdict = is_ij_predictable(frontier, args.i, args.j)
 

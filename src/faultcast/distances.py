@@ -155,33 +155,3 @@ def compute_dmax(model: DesModel, avoid: frozenset[int]) -> tuple[ExtNat, ...]:
     if done != len(core):
         raise RuntimeError("cycle outside the avoid set; avoid-set computation is broken")
     return tuple(dmax)
-
-
-def compute_dmax_fixpoint(model: DesModel, avoid: frozenset[int]) -> tuple[ExtNat, ...]:
-    """Slow dmax via naive iteration to a fixpoint; debugging aid.
-
-    Same pinned values as compute_dmax (0 on the fault set, INF on the
-    avoid set, floor 1 elsewhere); repeatedly raises values along
-    non-faulty edges until nothing changes.  Terminates because the core
-    subgraph is acyclic.
-    """
-    n = len(model.states)
-    faulty = model.faulty
-    dmax: list[ExtNat] = [0] * n
-    for q in range(n):
-        if q in avoid:
-            dmax[q] = INF
-        elif q not in faulty:
-            dmax[q] = 1
-    changed = True
-    while changed:
-        changed = False
-        for src, ev, dst in model.transitions:
-            if src in faulty or src in avoid or dst in faulty:
-                continue
-            cost = 1 if model.events[ev].observable else 0
-            candidate = dmax[dst] + cost
-            if candidate > dmax[src]:
-                dmax[src] = candidate
-                changed = True
-    return tuple(dmax)

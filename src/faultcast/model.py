@@ -178,7 +178,8 @@ class DesModel:
 def _check_names(names: Sequence[str], kind: str) -> None:
     seen: set[str] = set()
     for name in names:
-        if not name or any(c.isspace() for c in name):
+        # "#" starts a comment in the file format, so it could not be read back.
+        if not name or "#" in name or any(c.isspace() for c in name):
             raise ValueError(f"bad {kind} name: {name!r}")
         if name in seen:
             raise ValueError(f"duplicate {kind} name: {name}")

@@ -160,30 +160,33 @@ def _kosaraju(
 
 
 def oracle_dmax(model: DesModel) -> list[ExtNat]:
-    """dmax by memoized recursion over the provably acyclic remainder."""
+    """dmax by memoized depth-first search over the provably acyclic remainder.
+
+    The stack is explicit, so a long chain cannot hit the recursion limit.
+    """
     avoid = oracle_avoid_set(model)
     n = len(model.states)
-    memo: dict[int, ExtNat] = {}
-
-    def longest_stay(q: int) -> ExtNat:
-        if q in model.faulty:
-            return 0
-        if q in avoid:
-            return INF
-        if q in memo:
-            return memo[q]
-        best: ExtNat = 1
-        for _, ev, dst in model.outgoing[q]:
-            if dst in model.faulty:
+    memo: list[ExtNat | None] = [
+        0 if q in model.faulty else INF if q in avoid else None for q in range(n)
+    ]
+    for root in range(n):
+        stack = [root]
+        while stack:
+            q = stack[-1]
+            if memo[q] is not None:
+                stack.pop()
                 continue
-            cost = 1 if model.events[ev].observable else 0
-            candidate = longest_stay(dst) + cost
-            if candidate > best:
-                best = candidate
-        memo[q] = best
-        return best
-
-    return [longest_stay(q) for q in range(n)]
+            unknown = [dst for _, _, dst in model.outgoing[q] if memo[dst] is None]
+            if unknown:
+                stack.extend(unknown)
+                continue
+            stays = [
+                memo[dst] + (1 if model.events[ev].observable else 0)
+                for _, ev, dst in model.outgoing[q]
+                if dst not in model.faulty
+            ]
+            memo[q] = max([1, *stays])
+    return memo
 
 
 def oracle_distance_interval(model: DesModel, q: int) -> Interval:

@@ -64,24 +64,29 @@ def compute_frontier(
     upper bound) so that the first match in a query scan is the
     refutation with the tightest lead-time bound.
     """
-    entries: dict[Interval, HullEntry] = {}
-    for pair in sorted(twin.pairs):
+    dmin, dmax = table.dmin, table.dmax
+    first: dict[tuple[ExtNat, ExtNat], Pair] = {}
+    for pair in twin.pairs:
         q1, q2 = pair
-        hull = Interval(
-            min(table.dmin[q1], table.dmin[q2]),
-            max(table.dmax[q1], table.dmax[q2]),
-        )
-        if hull.lo == INF:
+        lo, other = dmin[q1], dmin[q2]
+        if other < lo:
+            lo = other
+        if lo == INF:
             continue
-        if hull not in entries:
-            witness: tuple[int, ...] | None = None
-            if twin.parents is not None:
-                witness = tuple(witness_observations(twin, pair))
-            entries[hull] = HullEntry(hull, pair, witness)
+        hi, other = dmax[q1], dmax[q2]
+        if other > hi:
+            hi = other
+        best = first.get((lo, hi))
+        if best is None or pair < best:
+            first[(lo, hi)] = pair
 
-    hulls = tuple(
-        sorted(entries.values(), key=lambda e: (-e.interval.lo, e.interval.hi))
-    )
+    hulls = []
+    for lo, hi in sorted(first, key=lambda hull: (-hull[0], hull[1])):
+        pair = first[(lo, hi)]
+        witness: tuple[int, ...] | None = None
+        if twin.parents is not None:
+            witness = tuple(witness_observations(twin, pair))
+        hulls.append(HullEntry(Interval(lo, hi), pair, witness))
 
     dmin_init = table.dmin[model.initial]
     vacuous = dmin_init == INF
@@ -95,7 +100,7 @@ def compute_frontier(
         dmin_init=dmin_init,
         vacuous=vacuous,
         p=tuple(p),
-        hulls=hulls,
+        hulls=tuple(hulls),
     )
 
 

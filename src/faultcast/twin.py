@@ -1,4 +1,4 @@
-"""Pairs of states an observer can confuse, via a self-product search.
+"""Pairs of states an observer can confuse, via a layered self-product search.
 
 Two states are related when some observation sequence leaves both of them
 possible.  The search explores pairs: from (q1, q2), observable events
@@ -7,9 +7,13 @@ advances one component and leaves the other in place.  Pairs are stored
 unordered as (min, max); the relation is reflexive on reachable states and
 symmetric but not transitive.
 
-The search is a 0/1 breadth-first traversal (unobservable moves cost 0,
-observable ones cost 1), so the recorded parent links spell out a shortest
-observation sequence witnessing each pair.
+The search codes a pair as the int q1 * n + q2 and runs breadth-first by
+observation count.  Layer k, the pairs first reached with k observations,
+is first closed under silent moves by a stack worklist; then the
+observable moves of its pairs, in visiting order, seed layer k + 1.  A
+pair is recorded when first seen, with its parent link if witnesses are
+asked for, so the links spell out a shortest observation sequence
+witnessing each pair.  The visiting order picks among equally short ones.
 
 When every event is observable and the model is deterministic, the
 observer always knows the exact state, so the relation collapses to the
@@ -30,16 +34,20 @@ from .model import DesModel
 #: An unordered state pair, stored as (min index, max index).
 Pair = tuple[int, int]
 
-#: parent pair and the observable event taken, or None for a 0-cost move.
-ParentLink = tuple[Optional[Pair], Optional[int]]
+#: parent pair code and the observable event taken, or None for a silent move.
+ParentLink = tuple[int, Optional[int]]
 
 
 @dataclass(frozen=True)
 class TwinReachability:
-    """The confusable-pair relation of one model."""
+    """The confusable-pair relation of one model.
+
+    parents, when recorded, is keyed by pair code q1 * size + q2.
+    """
 
     pairs: frozenset[Pair]
-    parents: Mapping[Pair, ParentLink] | None
+    size: int
+    parents: Mapping[int, ParentLink | None] | None
     fastpath: bool
 
     @property
@@ -57,12 +65,23 @@ class TwinReachability:
         return _canon(q1, q2) in self.pairs
 
 
-def sim_related(twin: TwinReachability, q1: int, q2: int) -> bool:
-    return twin.related(q1, q2)
-
-
 def _canon(q1: int, q2: int) -> Pair:
     return (q1, q2) if q1 <= q2 else (q2, q1)
+
+
+def _move_tables(model: DesModel) -> tuple[tuple, tuple]:
+    # Per state: observable event -> targets, and silent (event, target) moves.
+    observable = [e.observable for e in model.events]
+    return (
+        tuple(
+            {ev: dsts for ev, dsts in row.items() if observable[ev]}
+            for row in model.successors_by_event
+        ),
+        tuple(
+            tuple((ev, dst) for _, ev, dst in out if not observable[ev])
+            for out in model.outgoing
+        ),
+    )
 
 
 def build_twin(
@@ -77,56 +96,52 @@ def build_twin(
     if use_fastpath and model.fully_observable and model.is_deterministic:
         return _diagonal_twin(model, witnesses)
 
-    root = _canon(model.initial, model.initial)
-    dist: dict[Pair, int] = {root: 0}
-    parents: dict[Pair, ParentLink] | None = {root: (None, None)} if witnesses else None
-    settled: set[Pair] = set()
-    queue: deque[Pair] = deque([root])
-    while queue:
-        pair = queue.popleft()
-        if pair in settled:
-            continue
-        settled.add(pair)
-        d = dist[pair]
-        for nxt, event, cost in _moves(model, pair):
-            nd = d + cost
-            if nxt not in dist or nd < dist[nxt]:
-                dist[nxt] = nd
-                if parents is not None:
-                    parents[nxt] = (pair, event if cost else None)
-                if cost == 0:
-                    queue.appendleft(nxt)
-                else:
-                    queue.append(nxt)
+    n = len(model.states)
+    observable, silent = _move_tables(model)
+    root = model.initial * n + model.initial
+    # code -> parent link (None without witnesses), in discovery order.
+    links: dict[int, ParentLink | None] = {root: None}
+    following = [root]
+    while following:
+        # Silent closure, last found first; layer keeps the visiting order.
+        layer: list[int] = []
+        stack = following[::-1]
+        while stack:
+            code = stack.pop()
+            layer.append(code)
+            q1, q2 = divmod(code, n)
+            for _, t in silent[q1]:
+                nxt = t * n + q2 if t <= q2 else q2 * n + t
+                if nxt not in links:
+                    links[nxt] = (code, None) if witnesses else None
+                    stack.append(nxt)
+            for _, t in silent[q2]:
+                nxt = q1 * n + t if q1 <= t else t * n + q1
+                if nxt not in links:
+                    links[nxt] = (code, None) if witnesses else None
+                    stack.append(nxt)
+        following = []
+        for code in layer:
+            q1, q2 = divmod(code, n)
+            row2 = observable[q2]
+            for ev, targets1 in observable[q1].items():
+                targets2 = row2.get(ev)
+                if targets2 is None:
+                    continue
+                for t1 in targets1:
+                    for t2 in targets2:
+                        nxt = t1 * n + t2 if t1 <= t2 else t2 * n + t1
+                        if nxt not in links:
+                            links[nxt] = (code, ev) if witnesses else None
+                            following.append(nxt)
+    # The tuples share one int per state; fresh ints nearly double the memory.
+    states = tuple(range(n))
     return TwinReachability(
-        pairs=frozenset(dist),
-        parents=parents,
+        pairs=frozenset((states[code // n], states[code % n]) for code in links),
+        size=n,
+        parents=links if witnesses else None,
         fastpath=False,
     )
-
-
-def _moves(model: DesModel, pair: Pair) -> Iterator[tuple[Pair, int, int]]:
-    # Yields (next pair, event, cost): observable events advance both
-    # components together at cost 1, unobservable events advance one
-    # component at cost 0.
-    q1, q2 = pair
-    succ1 = model.successors_by_event[q1]
-    succ2 = model.successors_by_event[q2]
-    for ev, targets1 in succ1.items():
-        if not model.events[ev].observable:
-            continue
-        targets2 = succ2.get(ev)
-        if targets2 is None:
-            continue
-        for t1 in targets1:
-            for t2 in targets2:
-                yield _canon(t1, t2), ev, 1
-    for src, ev, dst in model.outgoing[q1]:
-        if not model.events[ev].observable:
-            yield _canon(dst, q2), ev, 0
-    for src, ev, dst in model.outgoing[q2]:
-        if not model.events[ev].observable:
-            yield _canon(q1, dst), ev, 0
 
 
 def reachable_edges(
@@ -137,21 +152,27 @@ def reachable_edges(
     Yields (source pair, event, observable flag, target pair), each
     combination once, sources in canonical order.
     """
-    for pair in sorted(twin.pairs):
-        seen: set[tuple[Pair, int]] = set()
-        for nxt, event, cost in _moves(model, pair):
-            if (nxt, event) in seen:
-                continue
-            seen.add((nxt, event))
-            yield pair, event, cost == 1, nxt
+    observable, silent = _move_tables(model)
+    for q1, q2 in sorted(twin.pairs):
+        moves = [
+            (_canon(t1, t2), ev, True)
+            for ev, targets1 in observable[q1].items()
+            for t1 in targets1
+            for t2 in observable[q2].get(ev, ())
+        ]
+        moves += [(_canon(t, q2), ev, False) for ev, t in silent[q1]]
+        moves += [(_canon(q1, t), ev, False) for ev, t in silent[q2]]
+        for nxt, ev, is_observable in dict.fromkeys(moves):
+            yield (q1, q2), ev, is_observable, nxt
 
 
 def _diagonal_twin(model: DesModel, witnesses: bool) -> TwinReachability:
     # Fully observable and deterministic: the observation sequence pins the
     # state, so only diagonal pairs occur and edge count equals observation
     # count.
-    root = (model.initial, model.initial)
-    parents: dict[Pair, ParentLink] | None = {root: (None, None)} if witnesses else None
+    n = len(model.states)
+    root = model.initial * (n + 1)
+    parents: dict[int, ParentLink | None] | None = {root: None} if witnesses else None
     seen = {model.initial}
     queue: deque[int] = deque([model.initial])
     while queue:
@@ -160,10 +181,11 @@ def _diagonal_twin(model: DesModel, witnesses: bool) -> TwinReachability:
             if dst not in seen:
                 seen.add(dst)
                 if parents is not None:
-                    parents[(dst, dst)] = ((q, q), ev)
+                    parents[dst * (n + 1)] = (q * (n + 1), ev)
                 queue.append(dst)
     return TwinReachability(
         pairs=frozenset((q, q) for q in seen),
+        size=n,
         parents=parents,
         fastpath=True,
     )
@@ -181,11 +203,10 @@ def witness_observations(twin: TwinReachability, pair: Pair) -> list[int]:
     if pair not in twin.pairs:
         raise ValueError(f"pair {pair} is not in the relation")
     events: list[int] = []
-    cursor: Optional[Pair] = pair
-    while cursor is not None:
-        parent, event = twin.parents[cursor]
+    link = twin.parents[pair[0] * twin.size + pair[1]]
+    while link is not None:
+        parent, event = link
         if event is not None:
             events.append(event)
-        cursor = parent
-    events.reverse()
-    return events
+        link = twin.parents[parent]
+    return events[::-1]

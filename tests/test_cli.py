@@ -193,6 +193,18 @@ def test_query_yes(capsys, plant_file):
     assert out.strip() == "predictable"
 
 
+
+def test_query_no_without_witness(capsys, plant_file):
+    # Without --witness the text answer is the bare verdict.
+    code, out, _ = run_cli(capsys, "query", plant_file, "-i", "2", "-j", "2")
+    assert code == 1
+    assert out == "not predictable\n"
+    code, out, _ = run_cli(
+        capsys, "query", plant_file, "-i", "2", "-j", "2", "--oracle"
+    )
+    assert code == 1
+    assert out.splitlines() == ["not predictable", "oracle not predictable", "MATCH"]
+
 def test_query_no_with_witness(capsys, plant_file):
     code, out, _ = run_cli(
         capsys, "query", plant_file, "-i", "2", "-j", "2", "--witness"

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import random
+import string
 
 import pytest
 
 from faultcast import (
+    DesModel,
+    Event,
     InvalidModelError,
     ModelSyntaxError,
+    make_model,
     parse_model,
     serialize_model,
 )
@@ -68,6 +72,46 @@ def test_round_trip_random_models():
         assert stable.initial == again.initial
         assert stable.faulty == again.faulty
 
+
+def test_hash_in_names_is_rejected():
+    # "#" starts a comment, so such a name could not survive a round trip.
+    with pytest.raises(ValueError):
+        make_model([("a", True)], [("x#1", "a", "y"), ("y", "a", "y")], "x#1", ["y"])
+    with pytest.raises(ValueError):
+        make_model([("a#", True)], [("x", "a#", "x")], "x")
+
+
+def test_round_trip_random_names():
+    # Random oracle models under random printable names: every name the
+    # model accepts survives the file format, and a name with "#" is
+    # refused when the model is built.
+    rng = random.Random(89)
+    alphabet = string.ascii_letters + string.digits + string.punctuation
+    refused = 0
+    for _ in range(200):
+        model = random_live_model(rng, OracleConfig())
+        names = set()
+        while len(names) < len(model.states) + len(model.events):
+            names.add("".join(rng.choices(alphabet, k=rng.randint(1, 3))))
+        names = sorted(names)
+        rng.shuffle(names)
+        try:
+            renamed = DesModel(
+                states=names[: len(model.states)],
+                events=[
+                    Event(name, e.observable)
+                    for name, e in zip(names[len(model.states):], model.events)
+                ],
+                transitions=model.transitions,
+                initial=model.initial,
+                faulty=model.faulty,
+            )
+        except ValueError:
+            assert any("#" in name for name in names)
+            refused += 1
+            continue
+        assert parse_model(serialize_model(renamed)) == renamed
+    assert 0 < refused < 200
 
 def test_comments_blank_lines_and_grouped_events():
     text = """

@@ -12,7 +12,6 @@ from faultcast import (
     compute_avoid_set,
     compute_distances,
     compute_dmax,
-    compute_dmax_fixpoint,
     compute_dmin,
     make_model,
     state_interval,
@@ -118,18 +117,30 @@ def test_avoid_set_requires_infinite_dodging():
     assert {m.states[q] for q in avoid} == {"A", "B"}
 
 
-def test_fixpoint_dmax_matches_fast_dmax_on_fixtures(plant, fuse_short, fuse_long, fan2):
+def test_oracle_dmax_matches_fast_dmax_on_fixtures(plant, fuse_short, fuse_long, fan2):
     for model in (plant, fuse_short, fuse_long, fan2):
         avoid = compute_avoid_set(model)
-        assert compute_dmax(model, avoid) == compute_dmax_fixpoint(model, avoid)
+        assert list(compute_dmax(model, avoid)) == oracle_dmax(model)
 
 
-def test_fixpoint_dmax_matches_fast_dmax_on_random_models():
+def test_oracle_dmax_matches_fast_dmax_on_random_models():
     rng = random.Random(31)
     for _ in range(150):
         model = random_live_model(rng, OracleConfig())
         avoid = compute_avoid_set(model)
-        assert compute_dmax(model, avoid) == compute_dmax_fixpoint(model, avoid)
+        assert list(compute_dmax(model, avoid)) == oracle_dmax(model)
+
+
+def test_oracle_dmax_on_a_long_chain():
+    # A fully observable 1,500-state chain into a fault: deeper than the
+    # interpreter's default recursion limit.
+    n = 1500
+    transitions = [(f"s{k}", "a", f"s{k + 1}") for k in range(n)]
+    transitions.append((f"s{n}", "a", f"s{n}"))
+    model = make_model([("a", True)], transitions, "s0", faulty=[f"s{n}"])
+    dmax = oracle_dmax(model)
+    assert dmax == list(compute_dmax(model, compute_avoid_set(model)))
+    assert dmax[model.state_index["s0"]] == n
 
 
 def test_distance_invariants_on_random_models():

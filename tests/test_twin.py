@@ -12,7 +12,7 @@ from faultcast import (
     fan_system,
     make_model,
     reachable_edges,
-    sim_related,
+    unobservable_closure,
     witness_observations,
 )
 from faultcast.oracle import OracleConfig, oracle_pairs, random_live_model
@@ -36,11 +36,11 @@ def test_plant_pairs(plant, plant_analysis):
 def test_plant_relatedness_queries(plant, plant_analysis):
     twin = plant_analysis.twin
     s = plant.state_index
-    assert sim_related(twin, s["A"], s["C"])
-    assert sim_related(twin, s["C"], s["A"])  # symmetric
-    assert sim_related(twin, s["E"], s["E"])  # reflexive on reachable
-    assert not sim_related(twin, s["E"], s["G"])
-    assert not sim_related(twin, s["A"], s["B"])
+    assert twin.related(s["A"], s["C"])
+    assert twin.related(s["C"], s["A"])  # symmetric
+    assert twin.related(s["E"], s["E"])  # reflexive on reachable
+    assert not twin.related(s["E"], s["G"])
+    assert not twin.related(s["A"], s["B"])
 
 
 def test_plant_witnesses(plant, plant_analysis):
@@ -155,6 +155,53 @@ def test_pairs_match_generic_construction_on_random_models():
         model = random_live_model(rng, OracleConfig())
         assert build_twin(model).pairs == build_twin(model, use_fastpath=False).pairs
 
+
+def _belief_after(model, events):
+    # States some run with exactly these observations can end in.
+    belief = unobservable_closure(model, [model.initial])
+    for event in events:
+        belief = unobservable_closure(
+            model, {dst for q in belief for dst in model.successors(q, event)}
+        )
+    return belief
+
+
+def _fewest_observations(model):
+    # Breadth-first over beliefs: for each pair, the fewest observations
+    # after which one belief holds both of its states.
+    observable = [e for e, event in enumerate(model.events) if event.observable]
+    start = _belief_after(model, [])
+    depth = {start: 0}
+    queue = [start]
+    fewest = {}
+    for belief in queue:
+        members = sorted(belief)
+        for k, a in enumerate(members):
+            for b in members[k:]:
+                fewest.setdefault((a, b), depth[belief])
+        for event in observable:
+            nxt = unobservable_closure(
+                model, {dst for q in belief for dst in model.successors(q, event)}
+            )
+            if nxt and nxt not in depth:
+                depth[nxt] = depth[belief] + 1
+                queue.append(nxt)
+    return fewest
+
+
+def test_witnesses_are_shortest_on_random_models():
+    rng = random.Random(43)
+    for _ in range(300):
+        model = random_live_model(rng, OracleConfig())
+        twin = build_twin(model, witnesses=True)
+        assert twin.pairs == oracle_pairs(model)
+        fewest = _fewest_observations(model)
+        assert set(fewest) == twin.pairs
+        for pair in twin.pairs:
+            witness = witness_observations(twin, pair)
+            assert all(model.events[e].observable for e in witness)
+            assert set(pair) <= _belief_after(model, witness)
+            assert len(witness) == fewest[pair]
 
 def test_reachable_edges_stay_inside_relation(plant, plant_analysis):
     twin = plant_analysis.twin
