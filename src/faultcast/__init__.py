@@ -24,7 +24,6 @@ from .belief import (
     compile_predictor,
     initial_belief,
     predict_sequence,
-    reachable_beliefs,
 )
 from .desfile import ModelDocument, parse_model, serialize_model
 from .distances import (
@@ -33,7 +32,6 @@ from .distances import (
     compute_distances,
     compute_dmax,
     compute_dmin,
-    state_interval,
 )
 from .errors import (
     CapExceededError,
@@ -133,12 +131,10 @@ __all__ = [
     "parse_extnat",
     "parse_model",
     "predict_sequence",
-    "reachable_beliefs",
     "reachable_edges",
     "run",
     "serialize_model",
     "short_fuse",
-    "state_interval",
     "unobservable_closure",
     "validate",
     "witness_observations",

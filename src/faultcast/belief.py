@@ -8,21 +8,22 @@ achieved by (at most) two members, recorded as witnesses.  Feeding one
 more observation can only keep or sharpen the promise: the new interval
 is contained in the old one shifted by one observation.
 
-Beliefs are always closed under unobservable moves, and an observable
-event maps a belief to the closure of its event successors.  An event
-with no successors is impossible: no run of the model explains it, so the
-stream and the model disagree and prediction stops with an error.
-
-compile_predictor enumerates every reachable belief into a finite
-automaton (the subset construction), which can be exported or used as a
-zero-lookup online predictor.  The number of beliefs can be exponential
-in the state count, hence the node cap.
+A belief is a bit mask over the states; its successor on an event is the
+union of its members' rows in the model's closed-successor table, and an
+empty union means no run explains the event.  One engine, the observer
+(subset) construction built lazily, numbers beliefs as found and memoizes
+the edges between them: a new belief costs one pass over its members, a
+revisited one a dict lookup.  A session flushes it back to the current
+belief at DEFAULT_NODE_CAP beliefs; compile_predictor expands every
+belief into an automaton and refuses past its cap.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress
+from operator import or_
 from typing import Iterable, Mapping, Sequence, Union
 
 from .distances import DistanceTable, compute_distances
@@ -30,7 +31,7 @@ from .errors import CapExceededError, ImpossibleObservationError
 from .intervals import Interval
 from .model import DesModel, unobservable_closure
 
-#: Default ceiling for compile_predictor node counts.
+#: Node ceiling of compile_predictor, and of a session's belief cache.
 DEFAULT_NODE_CAP = 1 << 16
 
 
@@ -47,20 +48,91 @@ class BeliefState:
     witnesses: tuple[int, int]
 
 
-def _make_belief(table: DistanceTable, members: frozenset[int]) -> BeliefState:
-    lo_witness = min(members, key=lambda q: (table.dmin[q], q))
-    hi_witness = max(members, key=lambda q: (table.dmax[q], -q))
-    return BeliefState(
-        members=members,
-        interval=Interval(table.dmin[lo_witness], table.dmax[hi_witness]),
-        witnesses=(lo_witness, hi_witness),
-    )
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _members(mask: int) -> list[int]:
+    """The set bits of mask, ascending."""
+    if mask.bit_count() * 8 < mask.bit_length():
+        # Sparse: peel off the lowest set bit.
+        members = []
+        while mask:
+            low = mask & -mask
+            members.append(low.bit_length() - 1)
+            mask ^= low
+        return members
+    bits = bin(mask)[:1:-1].encode().translate(_BITS)
+    return list(compress(range(len(bits)), bits))
+
+
+class _BeliefEngine:
+    """The beliefs of one model found so far, numbered in discovery order,
+    and their memoized edges, keyed by node * len(events) + event."""
+
+    def __init__(self, model: DesModel, table: DistanceTable, start: Iterable[int] = ()):
+        self.model, self.table = model, table
+        self.rows = model.closed_successors
+        self.width = len(model.events)
+        self.index: dict[int, int] = {}
+        self.masks: list[int] = []
+        self.intervals: list[Interval] = []
+        self.edges: dict[int, int] = {}
+        self._shared: dict[tuple, Interval] = {}  # one Interval per (lo, hi)
+        # The states to start from; by default the initial state's closure.
+        start = start or unobservable_closure(model, (model.initial,))
+        self.add(sum(1 << q for q in start))
+
+    def add(self, mask: int) -> int:
+        members = _members(mask)
+        dmin, dmax = self.table.dmin.__getitem__, self.table.dmax.__getitem__
+        bounds = (min(map(dmin, members)), max(map(dmax, members)))
+        interval = self._shared.get(bounds)
+        if interval is None:
+            interval = self._shared[bounds] = Interval(*bounds)
+        node = self.index[mask] = len(self.masks)
+        self.masks.append(mask)
+        self.intervals.append(interval)
+        return node
+
+    def successor(self, members: list[int], event: int) -> int:
+        """The belief mask after observing event, 0 when none."""
+        return reduce(or_, filter(None, map(self.rows[event].__getitem__, members)), 0)
+
+    def step(self, node: int, event: int) -> int:
+        """The node after observing event at node; a new target first
+        flushes the engine back to node when it is full."""
+        if not 0 <= event < self.width:
+            raise ImpossibleObservationError(f"unknown event index: {event}")
+        nxt = self.edges.get(node * self.width + event)
+        if nxt is not None:
+            return nxt
+        name = self.model.events[event].name
+        if self.rows[event] is None:
+            raise ImpossibleObservationError(f"event {name} is not observable")
+        mask = self.successor(_members(self.masks[node]), event)
+        if not mask:
+            raise ImpossibleObservationError(f"no run explains observing {name} here")
+        nxt = self.index.get(mask)
+        if nxt is None:
+            if len(self.masks) >= DEFAULT_NODE_CAP:
+                kept = self.masks[node]
+                self.index, self.masks, self.edges = {kept: 0}, [kept], {}
+                self.intervals, node = [self.intervals[node]], 0
+            nxt = self.add(mask)
+        self.edges[node * self.width + event] = nxt
+        return nxt
+
+    def belief(self, node: int) -> BeliefState:
+        members = _members(self.masks[node])
+        # The first extreme member in ascending order: ties go to the smallest index.
+        dmin, dmax = self.table.dmin.__getitem__, self.table.dmax.__getitem__
+        witnesses = (min(members, key=dmin), max(members, key=dmax))
+        return BeliefState(frozenset(members), self.intervals[node], witnesses)
 
 
 def initial_belief(model: DesModel, table: DistanceTable) -> BeliefState:
     """The belief before any observation: the initial state's closure."""
-    members = unobservable_closure(model, (model.initial,))
-    return _make_belief(table, members)
+    return _BeliefEngine(model, table).belief(0)
 
 
 def belief_step(
@@ -68,53 +140,43 @@ def belief_step(
 ) -> BeliefState:
     """Advance a belief by one observed event.
 
-    Raises ImpossibleObservationError when the event is unobservable or
-    no member can take it, since then no run of the model produces this
-    observation.
+    Raises ImpossibleObservationError when the event is unknown or
+    unobservable or no member can take it, since then no run of the model
+    produces this observation.
     """
-    if not model.events[event].observable:
-        raise ImpossibleObservationError(
-            f"event {model.events[event].name} is not observable"
-        )
-    targets = {
-        dst for q in belief.members for dst in model.successors(q, event)
-    }
-    if not targets:
-        raise ImpossibleObservationError(
-            f"no run explains observing {model.events[event].name} here"
-        )
-    return _make_belief(table, unobservable_closure(model, targets))
+    engine = _BeliefEngine(model, table, belief.members)
+    return engine.belief(engine.step(0, event))
 
 
 def predict_sequence(
     model: DesModel, table: DistanceTable, events: Sequence[int]
 ) -> Interval:
     """The interval announced after observing the whole sequence."""
-    belief = initial_belief(model, table)
-    for event in events:
-        belief = belief_step(model, table, belief, event)
-    return belief.interval
+    engine = _BeliefEngine(model, table)
+    return engine.intervals[reduce(engine.step, events, 0)]
 
 
 class PredictionSession:
     """Mutable online predictor over a stream of observed events.
 
     Events may be given by index or by name.  The current belief and its
-    interval are available between feeds.
+    interval are available between feeds; a rejected event leaves them
+    unchanged.
     """
 
     def __init__(self, model: DesModel, table: DistanceTable | None = None):
         self.model = model
         self.table = table if table is not None else compute_distances(model)
-        self._belief = initial_belief(model, self.table)
+        self._engine = _BeliefEngine(model, self.table)
+        self._node = 0
 
     @property
     def belief(self) -> BeliefState:
-        return self._belief
+        return self._engine.belief(self._node)
 
     @property
     def interval(self) -> Interval:
-        return self._belief.interval
+        return self._engine.intervals[self._node]
 
     def feed(self, event: Union[int, str]) -> Interval:
         if isinstance(event, str):
@@ -122,8 +184,8 @@ class PredictionSession:
             if index is None:
                 raise ImpossibleObservationError(f"unknown event name: {event}")
             event = index
-        self._belief = belief_step(self.model, self.table, self._belief, event)
-        return self._belief.interval
+        self._node = self._engine.step(self._node, event)
+        return self._engine.intervals[self._node]
 
 
 @dataclass(frozen=True)
@@ -143,49 +205,27 @@ def compile_predictor(
     table: DistanceTable | None = None,
     cap: int = DEFAULT_NODE_CAP,
 ) -> BeliefAutomaton:
-    """Enumerate all reachable beliefs breadth-first.
+    """Expand every belief of the engine, breadth-first.
 
     Raises CapExceededError as soon as a (cap+1)-th distinct belief shows
     up, reporting how many were explored.
     """
     if table is None:
         table = compute_distances(model)
-    start = initial_belief(model, table)
-    index: dict[frozenset[int], int] = {start.members: 0}
-    nodes: list[BeliefState] = [start]
-    edges: dict[tuple[int, int], int] = {}
-    queue: deque[int] = deque([0])
-    observable = [
-        e for e in range(len(model.events)) if model.events[e].observable
-    ]
-    while queue:
-        node = queue.popleft()
-        belief = nodes[node]
+    engine = _BeliefEngine(model, table)
+    observable = [e for e, row in enumerate(engine.rows) if row is not None]
+    for node, mask in enumerate(engine.masks):  # grows as beliefs are found
+        members = _members(mask)
         for event in observable:
-            targets = {
-                dst
-                for q in belief.members
-                for dst in model.successors(q, event)
-            }
-            if not targets:
+            target = engine.successor(members, event)
+            if not target:
                 continue
-            members = unobservable_closure(model, targets)
-            nxt = index.get(members)
+            nxt = engine.index.get(target)
             if nxt is None:
-                if len(nodes) >= cap:
-                    raise CapExceededError(cap, len(nodes))
-                nxt = len(nodes)
-                index[members] = nxt
-                nodes.append(_make_belief(table, members))
-                queue.append(nxt)
-            edges[(node, event)] = nxt
-    return BeliefAutomaton(nodes=tuple(nodes), edges=edges, initial=0)
-
-
-def reachable_beliefs(
-    model: DesModel,
-    table: DistanceTable | None = None,
-    cap: int = DEFAULT_NODE_CAP,
-) -> Iterable[BeliefState]:
-    """The reachable beliefs in discovery order."""
-    return compile_predictor(model, table, cap).nodes
+                if len(engine.masks) >= cap:
+                    raise CapExceededError(cap, len(engine.masks))
+                nxt = engine.add(target)
+            engine.edges[node * engine.width + event] = nxt
+    edges = {divmod(key, engine.width): nxt for key, nxt in engine.edges.items()}
+    nodes = tuple(map(engine.belief, range(len(engine.masks))))
+    return BeliefAutomaton(nodes=nodes, edges=edges, initial=0)

@@ -198,10 +198,18 @@ def parse_model(
 def serialize_model(model: DesModel) -> str:
     """Write a model back out; parse_model(serialize_model(m)) == m.
 
+    The format names a state only on its init, fault and trans lines, so
+    a state that is not initial, not faulty and in no transition cannot
+    be written: it raises ValueError.  Every other model round-trips.
     Event declarations are grouped into runs of equal visibility in index
     order and states appear first in init/fault/trans order, so a
     parse/serialize round trip also preserves index assignment.
     """
+    named = {model.initial, *model.faulty}
+    named.update(q for t in model.transitions for q in t[::2])
+    unnamed = [name for q, name in enumerate(model.states) if q not in named]
+    if unnamed:
+        raise ValueError(f"state {unnamed[0]} is not initial, faulty or in a transition")
     lines = ["des v1"]
     start = 0
     events = model.events

@@ -46,10 +46,6 @@ class DistanceTable:
         return Interval(self.dmin[q], self.dmax[q])
 
 
-def state_interval(table: DistanceTable, q: int) -> Interval:
-    return table.interval(q)
-
-
 def compute_distances(model: DesModel) -> DistanceTable:
     """Bundle dmin, the avoid set, and dmax for a model."""
     avoid = compute_avoid_set(model)

@@ -125,6 +125,29 @@ class DesModel:
         return self.successors_by_event[q].get(event, ())
 
     @cached_property
+    def closed_successors(self) -> tuple[tuple[int, ...] | None, ...]:
+        """Per event: None if unobservable, else per state the bit mask of
+        its targets on that event, closed under unobservable moves."""
+        n = len(self.states)
+        closure = [sum(1 << t for t in unobservable_closure(self, [q])) for q in range(n)]
+        rows = [[0] * n if e.observable else None for e in self.events]
+        for src, ev, dst in self.transitions:
+            row = rows[ev]
+            if row is not None:
+                row[src] |= closure[dst]
+        return tuple(row if row is None else tuple(row) for row in rows)
+
+    @cached_property
+    def move_tables(self) -> tuple[tuple, tuple]:
+        """Per state: observable event -> targets, and silent (event, target) moves."""
+        obs = [e.observable for e in self.events]
+        by_event = self.successors_by_event
+        return (
+            tuple({e: ts for e, ts in row.items() if obs[e]} for row in by_event),
+            tuple(tuple((e, t) for _, e, t in o if not obs[e]) for o in self.outgoing),
+        )
+
+    @cached_property
     def unobservable_successors(self) -> tuple[tuple[int, ...], ...]:
         table: list[list[int]] = [[] for _ in self.states]
         for src, ev, dst in self.transitions:

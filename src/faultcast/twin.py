@@ -69,21 +69,6 @@ def _canon(q1: int, q2: int) -> Pair:
     return (q1, q2) if q1 <= q2 else (q2, q1)
 
 
-def _move_tables(model: DesModel) -> tuple[tuple, tuple]:
-    # Per state: observable event -> targets, and silent (event, target) moves.
-    observable = [e.observable for e in model.events]
-    return (
-        tuple(
-            {ev: dsts for ev, dsts in row.items() if observable[ev]}
-            for row in model.successors_by_event
-        ),
-        tuple(
-            tuple((ev, dst) for _, ev, dst in out if not observable[ev])
-            for out in model.outgoing
-        ),
-    )
-
-
 def build_twin(
     model: DesModel, *, witnesses: bool = False, use_fastpath: bool = True
 ) -> TwinReachability:
@@ -97,7 +82,7 @@ def build_twin(
         return _diagonal_twin(model, witnesses)
 
     n = len(model.states)
-    observable, silent = _move_tables(model)
+    observable, silent = model.move_tables
     root = model.initial * n + model.initial
     # code -> parent link (None without witnesses), in discovery order.
     links: dict[int, ParentLink | None] = {root: None}
@@ -152,7 +137,7 @@ def reachable_edges(
     Yields (source pair, event, observable flag, target pair), each
     combination once, sources in canonical order.
     """
-    observable, silent = _move_tables(model)
+    observable, silent = model.move_tables
     for q1, q2 in sorted(twin.pairs):
         moves = [
             (_canon(t1, t2), ev, True)

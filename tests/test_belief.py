@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import faultcast.belief
 from faultcast import (
     INF,
     CapExceededError,
@@ -267,3 +268,141 @@ def test_every_faulty_run_passes_a_tight_prefix(plant):
                 seen.append(session.feed(event))
         assert any(interval.issubset(target) for interval in seen)
     assert faulty_runs >= 30
+
+
+# -- the engine against a plain frozenset subset construction --------------
+
+
+def _closure(model, states):
+    closed = set(states)
+    todo = list(closed)
+    while todo:
+        for _, ev, dst in model.outgoing[todo.pop()]:
+            if not model.events[ev].observable and dst not in closed:
+                closed.add(dst)
+                todo.append(dst)
+    return frozenset(closed)
+
+
+def _image(model, belief, event):
+    return _closure(
+        model, {dst for q in belief for _, ev, dst in model.outgoing[q] if ev == event}
+    )
+
+
+def _witnesses(table, belief):
+    return (
+        min(belief, key=lambda q: (table.dmin[q], q)),
+        max(belief, key=lambda q: (table.dmax[q], -q)),
+    )
+
+
+def _subset_construction(model):
+    """Beliefs in breadth-first order and their (node, event) edges."""
+    order = [_closure(model, [model.initial])]
+    index = {order[0]: 0}
+    edges = {}
+    observable = [e for e, ev in enumerate(model.events) if ev.observable]
+    for node, belief in enumerate(order):
+        for event in observable:
+            nxt = _image(model, belief, event)
+            if nxt:
+                if nxt not in index:
+                    index[nxt] = len(order)
+                    order.append(nxt)
+                edges[(node, event)] = index[nxt]
+    return order, edges
+
+
+def _random_models(seed, count, max_states=10):
+    rng = random.Random(seed)
+    for _ in range(count):
+        config = OracleConfig(
+            max_states=rng.randint(2, max_states),
+            max_events=rng.randint(1, 4),
+            max_out_degree=rng.randint(1, 3),
+        )
+        yield rng, random_live_model(rng, config)
+
+
+def test_compiled_predictor_equals_subset_construction():
+    for _, model in _random_models(31, 300):
+        table = compute_distances(model)
+        automaton = compile_predictor(model, table)
+        order, edges = _subset_construction(model)
+        assert [node.members for node in automaton.nodes] == oracle_beliefs(model)
+        assert [node.members for node in automaton.nodes] == order
+        assert list(automaton.edges.items()) == list(edges.items())
+        for node, belief in zip(automaton.nodes, order):
+            lo_w, hi_w = _witnesses(table, belief)
+            assert node.witnesses == (lo_w, hi_w)
+            assert node.interval == Interval(table.dmin[lo_w], table.dmax[hi_w])
+
+
+def _looping_streams(model, rng, count):
+    """Observable projections of random runs whose first state cycle is
+    walked four times, so that beliefs and their edges come back."""
+    for _ in range(count):
+        states, events = sample_run(model, rng, 40)
+        first = {}
+        for k, q in enumerate(states):
+            if q in first:
+                i = first[q]
+                events = events[:k] + events[i:k] * 3 + events[k:]
+                break
+            first[q] = k
+        yield [e for e in events if model.events[e].observable]
+
+
+def _check_sessions(seed, count, cap):
+    """Feed looping streams to sessions and compare every step with a
+    subset tracker; returns how many feeds hit a memoized edge and how
+    many flushed the engine."""
+    hits = flushes = 0
+    # Up to 40 states, so that both the sparse and the dense mask
+    # decoding are used.
+    for rng, model in _random_models(seed, count, max_states=40):
+        table = compute_distances(model)
+        for stream in _looping_streams(model, rng, 3):
+            session = PredictionSession(model, table)
+            engine = session._engine
+            belief = _closure(model, [model.initial])
+            for event in stream:
+                belief = _image(model, belief, event)
+                nodes, edges = len(engine.masks), len(engine.edges)
+                got = session.feed(event)
+                flushes += len(engine.masks) < nodes
+                hits += len(engine.edges) == edges
+                lo_w, hi_w = _witnesses(table, belief)
+                assert got == session.interval
+                assert got == Interval(table.dmin[lo_w], table.dmax[hi_w])
+                assert session.belief.members == belief
+                assert session.belief.witnesses == (lo_w, hi_w)
+                assert len(engine.masks) <= cap
+    return hits, flushes
+
+
+def test_sessions_match_a_subset_tracker():
+    hits, flushes = _check_sessions(57, 120, faultcast.belief.DEFAULT_NODE_CAP)
+    assert hits > 5000
+    assert flushes == 0
+
+
+def test_sessions_match_a_subset_tracker_across_flushes(monkeypatch):
+    monkeypatch.setattr(faultcast.belief, "DEFAULT_NODE_CAP", 4)
+    hits, flushes = _check_sessions(58, 120, 4)
+    assert hits > 5000
+    assert flushes > 300
+
+
+def test_rejected_events_leave_the_session_unchanged(plant):
+    session = PredictionSession(plant, compute_distances(plant))
+    session.feed("a")
+    belief, interval = session.belief, session.interval
+    # Unobservable, unknown by name, unknown by index, impossible at {B, D}.
+    for bad in ["t", plant.event_index["t"], "nope", len(plant.events), -1, "a"]:
+        with pytest.raises(ImpossibleObservationError):
+            session.feed(bad)
+        assert session.belief == belief
+        assert session.interval == interval
+    assert session.feed("d") == Interval(1, 2)

@@ -81,6 +81,14 @@ def test_hash_in_names_is_rejected():
         make_model([("a#", True)], [("x", "a#", "x")], "x")
 
 
+def test_unwritable_state_is_refused():
+    # z is not initial, not faulty and in no transition: no line of the
+    # format could carry it, so writing the model must fail, naming z.
+    model = make_model([("a", True)], [("x", "a", "x")], "x", states=["z"])
+    with pytest.raises(ValueError, match="state z"):
+        serialize_model(model)
+
+
 def test_round_trip_random_names():
     # Random oracle models under random printable names: every name the
     # model accepts survives the file format, and a name with "#" is

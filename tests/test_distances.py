@@ -14,7 +14,6 @@ from faultcast import (
     compute_dmax,
     compute_dmin,
     make_model,
-    state_interval,
 )
 from faultcast.oracle import (
     OracleConfig,
@@ -38,7 +37,7 @@ def test_plant_distance_table(plant):
         "A": INF, "B": INF, "C": INF, "D": INF, "E": 2, "F": 1, "G": 0,
     }
     assert {plant.states[q] for q in table.avoid} == {"A", "B", "C", "D"}
-    assert state_interval(table, plant.state_index["E"]) == Interval(2, 2)
+    assert table.interval(plant.state_index["E"]) == Interval(2, 2)
     assert table.interval(plant.state_index["A"]) == Interval(3, INF)
 
 

@@ -223,6 +223,42 @@ def test_unobservable_closure(plant, fan2):
     assert unobservable_closure(fan2, [f["B1"]]) == frozenset({f["B1"], f["C"]})
 
 
+def _mask(states):
+    return sum(1 << q for q in states)
+
+
+def test_closed_successor_masks_match_closures():
+    # Random models, valid or not: unobservable cycles are not rejected
+    # here, and the masks must still hold the full closures.
+    rng = random.Random(41)
+    models = [random_live_model(rng, OracleConfig(max_states=12)) for _ in range(100)]
+    for _ in range(100):
+        n = rng.randint(1, 12)
+        models.append(
+            DesModel(
+                states=[f"s{q}" for q in range(n)],
+                events=[Event("a", True), Event("h", False)],
+                transitions=[
+                    (rng.randrange(n), rng.randrange(2), rng.randrange(n))
+                    for _ in range(rng.randint(0, 3 * n))
+                ],
+                initial=0,
+                faulty=(),
+            )
+        )
+    cyclic = 0
+    for model in models:
+        cyclic += OBSERVATION_LIVENESS in _codes(validate(model))
+        for ev, row in enumerate(model.closed_successors):
+            if not model.events[ev].observable:
+                assert row is None
+                continue
+            for q in range(len(model.states)):
+                targets = unobservable_closure(model, model.successors(q, ev))
+                assert row[q] == _mask(targets)
+    assert cyclic > 20
+
+
 def test_run_endpoints_always_inside_observation_belief():
     # Endpoint of any trace is possible given the trace's observation.
     from faultcast import compute_distances, initial_belief, belief_step

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from faultcast import (
+    DesModel,
     NoWitnessError,
     build_twin,
     fan_system,
@@ -219,3 +220,19 @@ def test_reachable_edges_stay_inside_relation(plant, plant_analysis):
         if dst == bd
     }
     assert "a" in labels
+
+
+def test_move_tables_are_built_once_per_model(monkeypatch):
+    # The pair search and the edge export read one cached copy of the
+    # per-state move tables, so `twin --dot` builds them once.
+    built = []
+    build = DesModel.move_tables.func
+    monkeypatch.setattr(
+        DesModel.move_tables, "func", lambda model: built.append(build(model)) or built[-1]
+    )
+    model = fan_system(4)
+    twin = build_twin(model)
+    assert not twin.fastpath
+    assert list(reachable_edges(model, twin))
+    assert len(built) == 1
+    assert model.move_tables is built[0]
