@@ -89,12 +89,6 @@ class DesModel:
     def event_index(self) -> Mapping[str, int]:
         return {e.name: i for i, e in enumerate(self.events)}
 
-    def state_name(self, q: int) -> str:
-        return self.states[q]
-
-    def event_name(self, e: int) -> str:
-        return self.events[e].name
-
     # -- adjacency ------------------------------------------------------
 
     @cached_property

@@ -189,10 +189,6 @@ def oracle_dmax(model: DesModel) -> list[ExtNat]:
     return memo
 
 
-def oracle_distance_interval(model: DesModel, q: int) -> Interval:
-    return Interval(oracle_dmin(model)[q], oracle_dmax(model)[q])
-
-
 # -- beliefs and pairs -------------------------------------------------------
 
 

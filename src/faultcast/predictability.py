@@ -9,14 +9,20 @@ than (i, j), because the monitor cannot tell the early world from the
 late one.  An extra gate i <= dmin(initial) rules out alarms earlier than
 the system's own distance to the fault.
 
-The frontier aggregates, for each achievable lead time i, the tightest
-honest promise p[i]; queries are nevertheless answered by a direct scan
-over the deduplicated pair hulls, which is the authoritative rule.
+The frontier is the rule that answers queries.  For each achievable lead
+time i it holds the tightest honest promise p[i], and for an unbounded
+promise it holds inf_floor, the smallest lead time of a never-ending
+hull; a verdict is one lookup.  The distinct pair hulls stay as the
+explanatory inventory: a refusal names the first of them, tightest lead
+time first, that strictly contains the query, found by a per-row lookup.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import attrgetter
 from typing import Optional
 
 from .distances import DistanceTable, compute_distances
@@ -38,12 +44,18 @@ class HullEntry:
 
 @dataclass(frozen=True)
 class PredictabilityFrontier:
-    """Everything needed to answer predictability queries for one model."""
+    """Everything needed to answer predictability queries for one model.
+
+    ``rows[lo]`` holds the hulls with lower bound ``lo``, for every lead
+    time the frontier covers, by ascending upper bound.
+    """
 
     dmin_init: ExtNat
     vacuous: bool
     p: tuple[ExtNat, ...]
+    inf_floor: ExtNat
     hulls: tuple[HullEntry, ...]
+    rows: tuple[tuple[HullEntry, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -59,10 +71,9 @@ def compute_frontier(
 
     Pair hulls with an infinite lower bound cannot block any query (a
     query's lead time is finite) and are dropped.  Hulls are deduplicated
-    by interval, keeping the first pair in canonical index order, and the
-    scan list is sorted by descending lower bound (ties by ascending
-    upper bound) so that the first match in a query scan is the
-    refutation with the tightest lead-time bound.
+    by interval, keeping the first pair in canonical index order, and
+    listed by descending lower bound (ties by ascending upper bound), the
+    order in which a refusal looks for its blocking hull.
     """
     dmin, dmax = table.dmin, table.dmax
     first: dict[tuple[ExtNat, ExtNat], Pair] = {}
@@ -80,28 +91,42 @@ def compute_frontier(
         if best is None or pair < best:
             first[(lo, hi)] = pair
 
+    dmin_init = table.dmin[model.initial]
+    vacuous = dmin_init == INF
+    limit = len(model.states) if vacuous else min(len(model.states), int(dmin_init))
+    rows: list[list[HullEntry]] = [[] for _ in range(limit + 1)]
     hulls = []
     for lo, hi in sorted(first, key=lambda hull: (-hull[0], hull[1])):
         pair = first[(lo, hi)]
         witness: tuple[int, ...] | None = None
         if twin.parents is not None:
             witness = tuple(witness_observations(twin, pair))
-        hulls.append(HullEntry(Interval(lo, hi), pair, witness))
-
-    dmin_init = table.dmin[model.initial]
-    vacuous = dmin_init == INF
-    limit = len(model.states) if vacuous else min(len(model.states), int(dmin_init))
-    p: list[ExtNat] = list(range(limit + 1))
-    for entry in hulls:
-        lo = entry.interval.lo
-        if lo <= limit and entry.interval.hi > p[int(lo)]:
-            p[int(lo)] = entry.interval.hi
+        entry = HullEntry(Interval(lo, hi), pair, witness)
+        hulls.append(entry)
+        if lo <= limit:
+            rows[lo].append(entry)
+    # At lead time i a hull of row i refuses promises below its end, and a
+    # hull of a lower row refuses promises up to and including its end.
+    tops = [row[-1].interval.hi if row else -1 for row in rows]
+    below = accumulate([-1, *tops], max)  # the widest end over rows < i
+    p = tuple(max(i, top, low + 1) for i, (top, low) in enumerate(zip(tops, below)))
+    inf_floor = min((lo for lo, hi in first if hi == INF), default=INF)
     return PredictabilityFrontier(
         dmin_init=dmin_init,
         vacuous=vacuous,
-        p=tuple(p),
+        p=p,
+        inf_floor=inf_floor,
         hulls=tuple(hulls),
+        rows=tuple(map(tuple, rows)),
     )
+
+
+_upper = attrgetter("interval.hi")
+
+
+def _check_lead_time(i: object) -> None:
+    if not isinstance(i, int) or isinstance(i, bool) or i < 0:
+        raise InvalidIntervalError(f"lead time must be a finite natural: {i!r}")
 
 
 def is_ij_predictable(
@@ -110,37 +135,36 @@ def is_ij_predictable(
     """Can a correct alarm come i observations early with a j bound?
 
     True when the model is fault-free (vacuously), and otherwise when the
-    lead time does not exceed the initial state's own fault distance and
-    no reachable pair hull strictly contains (i, j).
+    lead time is at most the initial state's fault distance and j >= p[i],
+    or, for j = inf, no never-ending hull starts before i.  A refusal
+    within reach names its blocking hull.
     """
-    if not isinstance(i, int) or isinstance(i, bool) or i < 0:
-        raise InvalidIntervalError(f"lead time must be a finite natural: {i!r}")
-    query = Interval(i, j)
+    _check_lead_time(i)
+    Interval(i, j)  # refuses j < i and a j that is not an extended natural
     if frontier.vacuous:
         return QueryVerdict(True, None)
     if i > frontier.dmin_init:
         return QueryVerdict(False, None)
-    for entry in frontier.hulls:
-        if query.is_proper_subset(entry.interval):
-            return QueryVerdict(False, entry)
-    return QueryVerdict(True, None)
+    if (i <= frontier.inf_floor) if j == INF else (j >= frontier.p[i]):
+        return QueryVerdict(True, None)
+    return QueryVerdict(False, _blocking(frontier, i, j))
+
+
+def _blocking(frontier: PredictabilityFrontier, i: int, j: ExtNat) -> Optional[HullEntry]:
+    """The first hull, in the frontier's hull order, strictly containing (i, j)."""
+    for lo in range(i, -1, -1):
+        row = frontier.rows[lo]
+        # Row i holds (i, j) strictly only above j; lower rows from j on.
+        k = (bisect_right if lo == i else bisect_left)(row, j, key=_upper)
+        if k < len(row):
+            return row[k]
+    return None
 
 
 def is_i_predictable(frontier: PredictabilityFrontier, i: int) -> bool:
-    """Is some finite promise j achievable at lead time i?
-
-    Any j beyond every finite hull upper bound dodges all finite hulls,
-    so one query at such a j settles the question.
-    """
-    if frontier.vacuous:
-        return True
-    if i > frontier.dmin_init:
-        return False
-    finite_tops = [
-        e.interval.hi for e in frontier.hulls if e.interval.hi != INF
-    ]
-    j = 1 + max([i, *finite_tops])
-    return is_ij_predictable(frontier, i, j).predictable
+    """Is some finite promise j achievable at lead time i?"""
+    _check_lead_time(i)
+    return frontier.vacuous or (i <= frontier.dmin_init and frontier.p[i] != INF)
 
 
 def is_predictable(frontier: PredictabilityFrontier) -> bool:
@@ -157,23 +181,8 @@ def best_horizon(frontier: PredictabilityFrontier) -> Optional[tuple[int, ExtNat
     """
     if frontier.vacuous:
         return None
-    best_i: Optional[int] = None
-    for i in range(int(frontier.dmin_init), -1, -1):
-        if is_i_predictable(frontier, i):
-            best_i = i
-            break
-    if best_i is None:
-        return None
-    candidates: set[int] = {best_i}
-    for entry in frontier.hulls:
-        if entry.interval.hi != INF:
-            top = int(entry.interval.hi)
-            candidates.add(top)
-            candidates.add(top + 1)
-    for j in sorted(c for c in candidates if c >= best_i):
-        if is_ij_predictable(frontier, best_i, j).predictable:
-            return (best_i, j)
-    raise RuntimeError("no finite promise found despite is_i_predictable")
+    finite = [i for i, p in enumerate(frontier.p) if p != INF]
+    return (finite[-1], frontier.p[finite[-1]]) if finite else None
 
 
 @dataclass(frozen=True)

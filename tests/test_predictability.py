@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from faultcast import (
     INF,
+    DesModel,
     Interval,
     InvalidIntervalError,
+    QueryVerdict,
     analyze,
     best_horizon,
     is_i_predictable,
@@ -19,9 +22,25 @@ from faultcast import (
 )
 from faultcast.oracle import (
     OracleConfig,
+    _draw_model,
     oracle_is_ij_predictable,
     random_live_model,
 )
+
+
+def scan_is_ij_predictable(frontier, i, j):
+    """The hull scan: in the frontier's hull order (descending lower bound,
+    then ascending upper bound), the first hull that strictly contains
+    (i, j) refuses the query and is named as the blocking hull."""
+    query = Interval(i, j)
+    if frontier.vacuous:
+        return QueryVerdict(True, None)
+    if i > frontier.dmin_init:
+        return QueryVerdict(False, None)
+    for entry in frontier.hulls:
+        if query.is_proper_subset(entry.interval):
+            return QueryVerdict(False, entry)
+    return QueryVerdict(True, None)
 
 
 def test_plant_frontier_values(plant_analysis):
@@ -216,3 +235,105 @@ def test_best_horizon_is_maximal_and_tight():
         if j > i:
             assert not is_ij_predictable(frontier, i, j - 1).predictable
         assert not is_i_predictable(frontier, i + 1)
+
+
+def test_is_i_predictable_refuses_bad_lead_times(plant_analysis, fan2_analysis):
+    # The same check as is_ij_predictable, on a faulty and a fault-free model.
+    for frontier in (plant_analysis.frontier, fan2_analysis.frontier):
+        for bad in (-1, True, False, 1.5, INF, "1"):
+            with pytest.raises(InvalidIntervalError):
+                is_i_predictable(frontier, bad)
+
+
+def test_invalid_queries_raise_on_every_model(plant_analysis, fan2_analysis):
+    for frontier in (plant_analysis.frontier, fan2_analysis.frontier):
+        for i, j in [(2, 1), (-1, 2), (True, 2), (False, 2), (1, -1), (1, 1.5), (1, True), (1, "3")]:
+            with pytest.raises(InvalidIntervalError):
+                is_ij_predictable(frontier, i, j)
+
+
+def _dense_grid(frontier, n_states):
+    """Every lead time up to one past dmin(initial), and every promise up
+    to one past the largest finite hull end, plus an unbounded one."""
+    last_row = n_states if frontier.vacuous else int(frontier.dmin_init)
+    tops = [e.interval.hi for e in frontier.hulls if e.interval.hi != INF]
+    top = 1 + max([0, *tops])
+    for i in range(last_row + 2):
+        yield i, [*range(i, max(i, top) + 1), INF]
+
+
+def _random_models(seed, count):
+    """Half valid random models, half unvalidated draws; every other draw
+    also lets each faulty state step out of the fault set."""
+    rng = random.Random(seed)
+    config = OracleConfig()
+    for k in range(count):
+        if k % 2:
+            yield random_live_model(rng, config)
+            continue
+        model = _draw_model(rng, config)
+        if k % 4:
+            exits = {(q, 0, rng.randrange(len(model.states))) for q in model.faulty}
+            model = replace(model, transitions=tuple(sorted({*model.transitions, *exits})))
+        yield model
+
+
+def test_frontier_lookup_matches_the_hull_scan():
+    refusals = blocked = 0
+    for model in _random_models(55, 1000):
+        frontier = analyze(model, witnesses=True).frontier
+        horizon = None
+        for i, promises in _dense_grid(frontier, len(model.states)):
+            tightest = None
+            for j in promises:
+                verdict = is_ij_predictable(frontier, i, j)
+                assert verdict == scan_is_ij_predictable(frontier, i, j), (model, i, j)
+                refusals += not verdict.predictable
+                blocked += verdict.blocking is not None
+                if verdict.predictable and j != INF and tightest is None:
+                    tightest = j
+            assert is_i_predictable(frontier, i) == (tightest is not None), (model, i)
+            if tightest is not None:
+                horizon = (i, tightest)
+        assert best_horizon(frontier) == (None if frontier.vacuous else horizon), model
+    assert blocked > 1000 and refusals > blocked
+
+
+def _permuted(model, perm):
+    """The same model with state q renumbered perm[q]."""
+    states = [""] * len(model.states)
+    for q, name in enumerate(model.states):
+        states[perm[q]] = name
+    return DesModel(
+        states=tuple(states),
+        events=model.events,
+        transitions=tuple((perm[s], e, perm[d]) for s, e, d in model.transitions),
+        initial=perm[model.initial],
+        faulty=frozenset(perm[q] for q in model.faulty),
+    )
+
+
+def test_permuting_states_changes_only_the_numbering():
+    rng = random.Random(56)
+    for model in _random_models(57, 200):
+        perm = list(range(len(model.states)))
+        rng.shuffle(perm)
+        moved = _permuted(model, perm)
+        assert moved == model  # same named states, events and transitions
+        a, b = analyze(model), analyze(moved)
+        for q in range(len(model.states)):
+            assert b.table.dmin[perm[q]] == a.table.dmin[q]
+            assert b.table.dmax[perm[q]] == a.table.dmax[q]
+        assert b.twin.pairs == {tuple(sorted((perm[x], perm[y]))) for x, y in a.twin.pairs}
+        fa, fb = a.frontier, b.frontier
+        assert (fb.p, fb.dmin_init, fb.inf_floor) == (fa.p, fa.dmin_init, fa.inf_floor)
+        assert [e.interval for e in fb.hulls] == [e.interval for e in fa.hulls]
+        for i, promises in _dense_grid(fa, len(model.states)):
+            for j in promises:
+                va, vb = is_ij_predictable(fa, i, j), is_ij_predictable(fb, i, j)
+                assert va.predictable == vb.predictable, (model, perm, i, j)
+                assert (va.blocking is None) == (vb.blocking is None)
+                if va.blocking is not None:
+                    assert va.blocking.interval == vb.blocking.interval
+            assert is_i_predictable(fa, i) == is_i_predictable(fb, i)
+        assert best_horizon(fa) == best_horizon(fb)
