@@ -4,13 +4,15 @@ Exit codes, shared by every subcommand: 0 success (and "yes" answers),
 1 negative answers (query says not predictable, predict hits an
 impossible observation), 2 data errors (unparsable or invalid models,
 bad query intervals, cap overruns, I/O problems, oracle mismatches),
-3 usage errors.
+3 usage errors.  A reader that closes stdout early, as `| head` does, is
+not an error: the command stops writing and exits 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -136,7 +138,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 3
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Python flushes stdout again at exit, so send what is left nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except ImpossibleObservationError as exc:
         print(f"faultcast: impossible observation: {exc}", file=sys.stderr)
         return 1
@@ -249,7 +257,6 @@ def _cmd_twin(args: argparse.Namespace) -> int:
         payload = {
             "pair_count": twin.pair_count,
             "relation_size": twin.relation_size,
-            "fastpath": twin.fastpath,
             "pairs": [
                 {
                     "states": [model.states[a], model.states[b]],
@@ -262,7 +269,6 @@ def _cmd_twin(args: argparse.Namespace) -> int:
         return 0
     print(f"# pairs\t{twin.pair_count}")
     print(f"# relation\t{twin.relation_size}")
-    print(f"# fastpath\t{str(twin.fastpath).lower()}")
     for a, b in pairs:
         line = f"{model.states[a]}\t{model.states[b]}"
         if args.witnesses:

@@ -128,21 +128,22 @@ def compute_dmax(model: DesModel, avoid: frozenset[int]) -> tuple[ExtNat, ...]:
         if src in core_set and dst in core_set:
             pending[src] += 1
             feeders[dst].append(src)
+    observable, silent = model.move_tables
     ready = deque(q for q in core if pending[q] == 0)
     done = 0
     while ready:
         q = ready.popleft()
         done += 1
         best = 1
-        for _, ev, dst in model.outgoing[q]:
-            if dst in faulty:
-                continue
-            # dst is in the core: an avoid-set successor would have pulled
-            # q into the avoid set as well.
-            cost = 1 if model.events[ev].observable else 0
-            candidate = dmax[dst] + cost
-            if candidate > best:
-                best = candidate
+        # Non-faulty targets are in the core: an avoid-set successor would
+        # have pulled q into the avoid set as well.
+        for targets in observable[q].values():
+            for t in targets:
+                if t not in faulty and dmax[t] >= best:
+                    best = dmax[t] + 1
+        for _, t in silent[q]:
+            if t not in faulty and dmax[t] > best:
+                best = dmax[t]
         dmax[q] = best
         for src in feeders[q]:
             pending[src] -= 1

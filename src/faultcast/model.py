@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping, Sequence, Tuple
 
 from .errors import InitialFaultyError, InvalidModelError
@@ -92,13 +93,6 @@ class DesModel:
     # -- adjacency ------------------------------------------------------
 
     @cached_property
-    def outgoing(self) -> tuple[tuple[Transition, ...], ...]:
-        out: list[list[Transition]] = [[] for _ in self.states]
-        for t in self.transitions:
-            out[t[0]].append(t)
-        return tuple(tuple(ts) for ts in out)
-
-    @cached_property
     def incoming(self) -> tuple[tuple[Transition, ...], ...]:
         inc: list[list[Transition]] = [[] for _ in self.states]
         for t in self.transitions:
@@ -106,17 +100,30 @@ class DesModel:
         return tuple(tuple(ts) for ts in inc)
 
     @cached_property
-    def successors_by_event(self) -> tuple[Mapping[int, tuple[int, ...]], ...]:
-        """Per state: event index -> tuple of target states."""
-        table: list[dict[int, list[int]]] = [{} for _ in self.states]
+    def move_tables(self) -> tuple[tuple, tuple]:
+        """Per state: observable event -> targets, and silent (event, target) moves.
+
+        The one forward table, built in one pass; both parts keep
+        transition order.
+        """
+        obs = [e.observable for e in self.events]
+        observable: list[dict[int, list[int]]] = [{} for _ in self.states]
+        silent: list[list[tuple[int, int]]] = [[] for _ in self.states]
         for src, ev, dst in self.transitions:
-            table[src].setdefault(ev, []).append(dst)
-        return tuple(
-            {ev: tuple(dsts) for ev, dsts in row.items()} for row in table
-        )
+            if obs[ev]:
+                observable[src].setdefault(ev, []).append(dst)
+            else:
+                silent[src].append((ev, dst))
+        for row in observable:
+            for ev, ts in row.items():
+                row[ev] = tuple(ts)
+        return tuple(observable), tuple(map(tuple, silent))
 
     def successors(self, q: int, event: int) -> tuple[int, ...]:
-        return self.successors_by_event[q].get(event, ())
+        observable, silent = self.move_tables
+        if self.events[event].observable:
+            return observable[q].get(event, ())
+        return tuple(t for ev, t in silent[q] if ev == event)
 
     @cached_property
     def closed_successors(self) -> tuple[tuple[int, ...] | None, ...]:
@@ -130,39 +137,6 @@ class DesModel:
             if row is not None:
                 row[src] |= closure[dst]
         return tuple(row if row is None else tuple(row) for row in rows)
-
-    @cached_property
-    def move_tables(self) -> tuple[tuple, tuple]:
-        """Per state: observable event -> targets, and silent (event, target) moves."""
-        obs = [e.observable for e in self.events]
-        by_event = self.successors_by_event
-        return (
-            tuple({e: ts for e, ts in row.items() if obs[e]} for row in by_event),
-            tuple(tuple((e, t) for _, e, t in o if not obs[e]) for o in self.outgoing),
-        )
-
-    @cached_property
-    def unobservable_successors(self) -> tuple[tuple[int, ...], ...]:
-        table: list[list[int]] = [[] for _ in self.states]
-        for src, ev, dst in self.transitions:
-            if not self.events[ev].observable:
-                table[src].append(dst)
-        return tuple(tuple(row) for row in table)
-
-    # -- simple facts ---------------------------------------------------
-
-    @property
-    def fully_observable(self) -> bool:
-        return all(e.observable for e in self.events)
-
-    @cached_property
-    def is_deterministic(self) -> bool:
-        seen: set[tuple[int, int]] = set()
-        for src, ev, dst in set(self.transitions):
-            if (src, ev) in seen:
-                return False
-            seen.add((src, ev))
-        return True
 
     # -- semantic identity ----------------------------------------------
 
@@ -286,8 +260,9 @@ def validate(model: DesModel) -> ValidationReport:
     """Check the four structural invariants and report every violation."""
     findings: list[Finding] = []
 
-    for q, out in enumerate(model.outgoing):
-        if not out:
+    observable, silent = model.move_tables
+    for q in range(len(model.states)):
+        if not observable[q] and not silent[q]:
             findings.append(
                 Finding(
                     "error",
@@ -348,6 +323,7 @@ def _trans_text(model: DesModel, t: Transition) -> str:
 
 def _unobservable_cycle(model: DesModel) -> list[int] | None:
     # Iterative DFS over unobservable edges; returns one offending cycle.
+    silent = model.move_tables[1]
     color = [0] * len(model.states)  # 0 new, 1 on stack, 2 done
     parent: dict[int, int] = {}
     for root in range(len(model.states)):
@@ -357,10 +333,10 @@ def _unobservable_cycle(model: DesModel) -> list[int] | None:
         color[root] = 1
         while stack:
             q, i = stack[-1]
-            succs = model.unobservable_successors[q]
-            if i < len(succs):
+            moves = silent[q]
+            if i < len(moves):
                 stack[-1] = (q, i + 1)
-                nxt = succs[i]
+                nxt = moves[i][1]
                 if color[nxt] == 0:
                     color[nxt] = 1
                     parent[nxt] = q
@@ -388,11 +364,12 @@ def fault_closure(model: DesModel) -> DesModel:
     InitialFaultyError when the closure swallows the initial state, since
     such a model has no non-faulty behavior left to predict.
     """
+    observable, silent = model.move_tables
     closed = set(model.faulty)
     queue = deque(closed)
     while queue:
         q = queue.popleft()
-        for _, _, dst in model.outgoing[q]:
+        for dst in chain(*observable[q].values(), (t for _, t in silent[q])):
             if dst not in closed:
                 closed.add(dst)
                 queue.append(dst)
@@ -434,11 +411,12 @@ def run(model: DesModel, trace: Sequence[int]) -> frozenset[int]:
 
 def unobservable_closure(model: DesModel, states: Iterable[int]) -> frozenset[int]:
     """All states reachable from `states` using unobservable events only."""
+    silent = model.move_tables[1]
     closed = set(states)
     queue = deque(closed)
     while queue:
         q = queue.popleft()
-        for dst in model.unobservable_successors[q]:
+        for _, dst in silent[q]:
             if dst not in closed:
                 closed.add(dst)
                 queue.append(dst)

@@ -7,7 +7,9 @@ connected components instead of successor-count elimination, confusable
 pairs by enumerating beliefs instead of the pair product, and
 predictability by scanning belief hulls instead of pair hulls.  Agreement
 between the two families is asserted by the test suite; nothing in the
-package's normal code path calls into this module.
+package's normal code path calls into this module, and it reads none of
+the model's cached adjacency tables: each entry point groups the
+transitions itself.
 
 The module also provides the seeded random model generator used for the
 agreement sweeps, plus a random run sampler for soundness checks.
@@ -22,7 +24,7 @@ from typing import Iterable, Sequence
 
 from .errors import CapExceededError
 from .intervals import INF, ExtNat, Interval
-from .model import DesModel, Event, validate
+from .model import DesModel, Event, Transition, validate
 
 DEFAULT_BELIEF_CAP = 1 << 16
 
@@ -53,8 +55,9 @@ def oracle_dmin(model: DesModel) -> list[ExtNat]:
     always suffice for the finite values.
     """
     n = len(model.states)
+    by_target = _by_state(model, 2)
     result: list[ExtNat] = [INF] * n
-    reached = _backward_unobservable_closure(model, set(model.faulty))
+    reached = _silent_closure(model, by_target, set(model.faulty))
     for q in reached:
         result[q] = 0
     for k in range(1, n + 1):
@@ -65,23 +68,36 @@ def oracle_dmin(model: DesModel) -> list[ExtNat]:
         }
         if not fresh:
             break
-        grown = _backward_unobservable_closure(model, reached | fresh)
+        grown = _silent_closure(model, by_target, reached | fresh)
         for q in grown - reached:
             result[q] = k
         reached = grown
     return result
 
 
-def _backward_unobservable_closure(model: DesModel, states: set[int]) -> set[int]:
+def _by_state(model: DesModel, end: int) -> list[list[Transition]]:
+    # Transitions grouped by source (end 0) or by target (end 2).
+    groups: list[list[Transition]] = [[] for _ in model.states]
+    for t in model.transitions:
+        groups[t[end]].append(t)
+    return groups
+
+
+def _silent_closure(
+    model: DesModel, groups: list[list[Transition]], states: Iterable[int]
+) -> frozenset[int]:
+    # Moves from q along each unobservable transition of groups[q] to its
+    # other end: forward when grouped by source, backward when by target.
     closed = set(states)
     frontier = deque(closed)
     while frontier:
         q = frontier.popleft()
-        for src, ev, dst in model.incoming[q]:
-            if not model.events[ev].observable and src not in closed:
-                closed.add(src)
-                frontier.append(src)
-    return closed
+        for src, ev, dst in groups[q]:
+            nxt = dst if src == q else src
+            if not model.events[ev].observable and nxt not in closed:
+                closed.add(nxt)
+                frontier.append(nxt)
+    return frozenset(closed)
 
 
 def oracle_avoid_set(model: DesModel) -> frozenset[int]:
@@ -166,6 +182,7 @@ def oracle_dmax(model: DesModel) -> list[ExtNat]:
     """
     avoid = oracle_avoid_set(model)
     n = len(model.states)
+    by_source = _by_state(model, 0)
     memo: list[ExtNat | None] = [
         0 if q in model.faulty else INF if q in avoid else None for q in range(n)
     ]
@@ -176,13 +193,13 @@ def oracle_dmax(model: DesModel) -> list[ExtNat]:
             if memo[q] is not None:
                 stack.pop()
                 continue
-            unknown = [dst for _, _, dst in model.outgoing[q] if memo[dst] is None]
+            unknown = [dst for _, _, dst in by_source[q] if memo[dst] is None]
             if unknown:
                 stack.extend(unknown)
                 continue
             stays = [
                 memo[dst] + (1 if model.events[ev].observable else 0)
-                for _, ev, dst in model.outgoing[q]
+                for _, ev, dst in by_source[q]
                 if dst not in model.faulty
             ]
             memo[q] = max([1, *stays])
@@ -192,23 +209,12 @@ def oracle_dmax(model: DesModel) -> list[ExtNat]:
 # -- beliefs and pairs -------------------------------------------------------
 
 
-def _forward_unobservable_closure(model: DesModel, states: Iterable[int]) -> frozenset[int]:
-    closed = set(states)
-    frontier = deque(closed)
-    while frontier:
-        q = frontier.popleft()
-        for _, ev, dst in model.outgoing[q]:
-            if not model.events[ev].observable and dst not in closed:
-                closed.add(dst)
-                frontier.append(dst)
-    return frozenset(closed)
-
-
 def oracle_beliefs(
     model: DesModel, cap: int = DEFAULT_BELIEF_CAP
 ) -> list[frozenset[int]]:
     """All reachable beliefs by plain subset construction, in BFS order."""
-    start = _forward_unobservable_closure(model, (model.initial,))
+    by_source = _by_state(model, 0)
+    start = _silent_closure(model, by_source, (model.initial,))
     seen: dict[frozenset[int], int] = {start: 0}
     order: list[frozenset[int]] = [start]
     queue: deque[frozenset[int]] = deque([start])
@@ -219,11 +225,11 @@ def oracle_beliefs(
         belief = queue.popleft()
         for event in observable:
             targets = {
-                dst for q in belief for dst in model.successors(q, event)
+                dst for q in belief for _, ev, dst in by_source[q] if ev == event
             }
             if not targets:
                 continue
-            nxt = _forward_unobservable_closure(model, targets)
+            nxt = _silent_closure(model, by_source, targets)
             if nxt not in seen:
                 if len(order) >= cap:
                     raise CapExceededError(cap, len(order))
@@ -332,10 +338,11 @@ def sample_run(
     Returns (states, events) with len(states) == len(events) + 1; always
     possible up to the requested length because of liveness.
     """
+    by_source = _by_state(model, 0)
     states = [model.initial]
     events: list[int] = []
     for _ in range(length):
-        src, ev, dst = rng.choice(model.outgoing[states[-1]])
+        src, ev, dst = rng.choice(by_source[states[-1]])
         events.append(ev)
         states.append(dst)
     return states, events

@@ -15,16 +15,12 @@ pair is recorded when first seen, with its parent link if witnesses are
 asked for, so the links spell out a shortest observation sequence
 witnessing each pair.  The visiting order picks among equally short ones.
 
-When every event is observable and the model is deterministic, the
-observer always knows the exact state, so the relation collapses to the
-diagonal of the reachable states and a plain reachability walk suffices.
-A nondeterministic model can confuse two states even with every event
-observable, so determinism is part of the gate.
+A deterministic, fully observable model reaches only diagonal pairs, so
+there the search is linear in the reachable states and their moves.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
 
@@ -48,7 +44,6 @@ class TwinReachability:
     pairs: frozenset[Pair]
     size: int
     parents: Mapping[int, ParentLink | None] | None
-    fastpath: bool
 
     @property
     def pair_count(self) -> int:
@@ -69,18 +64,13 @@ def _canon(q1: int, q2: int) -> Pair:
     return (q1, q2) if q1 <= q2 else (q2, q1)
 
 
-def build_twin(
-    model: DesModel, *, witnesses: bool = False, use_fastpath: bool = True
-) -> TwinReachability:
+def build_twin(model: DesModel, *, witnesses: bool = False) -> TwinReachability:
     """Explore every confusable pair reachable from the initial state.
 
     With witnesses=True, parent links are recorded so that
     witness_observations can replay a shortest observation sequence for
     any pair.
     """
-    if use_fastpath and model.fully_observable and model.is_deterministic:
-        return _diagonal_twin(model, witnesses)
-
     n = len(model.states)
     observable, silent = model.move_tables
     root = model.initial * n + model.initial
@@ -125,7 +115,6 @@ def build_twin(
         pairs=frozenset((states[code // n], states[code % n]) for code in links),
         size=n,
         parents=links if witnesses else None,
-        fastpath=False,
     )
 
 
@@ -149,31 +138,6 @@ def reachable_edges(
         moves += [(_canon(q1, t), ev, False) for ev, t in silent[q2]]
         for nxt, ev, is_observable in dict.fromkeys(moves):
             yield (q1, q2), ev, is_observable, nxt
-
-
-def _diagonal_twin(model: DesModel, witnesses: bool) -> TwinReachability:
-    # Fully observable and deterministic: the observation sequence pins the
-    # state, so only diagonal pairs occur and edge count equals observation
-    # count.
-    n = len(model.states)
-    root = model.initial * (n + 1)
-    parents: dict[int, ParentLink | None] | None = {root: None} if witnesses else None
-    seen = {model.initial}
-    queue: deque[int] = deque([model.initial])
-    while queue:
-        q = queue.popleft()
-        for _, ev, dst in model.outgoing[q]:
-            if dst not in seen:
-                seen.add(dst)
-                if parents is not None:
-                    parents[dst * (n + 1)] = (q * (n + 1), ev)
-                queue.append(dst)
-    return TwinReachability(
-        pairs=frozenset((q, q) for q in seen),
-        size=n,
-        parents=parents,
-        fastpath=True,
-    )
 
 
 def witness_observations(twin: TwinReachability, pair: Pair) -> list[int]:

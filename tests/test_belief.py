@@ -203,7 +203,7 @@ def _observable_walk(model, rng, length):
     for _ in range(100):
         if len(events) == length:
             break
-        src, ev, dst = rng.choice(model.outgoing[state])
+        src, ev, dst = rng.choice([t for t in model.transitions if t[0] == state])
         state = dst
         if model.events[ev].observable:
             events.append(ev)
@@ -277,8 +277,9 @@ def _closure(model, states):
     closed = set(states)
     todo = list(closed)
     while todo:
-        for _, ev, dst in model.outgoing[todo.pop()]:
-            if not model.events[ev].observable and dst not in closed:
+        q = todo.pop()
+        for src, ev, dst in model.transitions:
+            if src == q and not model.events[ev].observable and dst not in closed:
                 closed.add(dst)
                 todo.append(dst)
     return frozenset(closed)
@@ -286,7 +287,7 @@ def _closure(model, states):
 
 def _image(model, belief, event):
     return _closure(
-        model, {dst for q in belief for _, ev, dst in model.outgoing[q] if ev == event}
+        model, {dst for src, ev, dst in model.transitions if src in belief and ev == event}
     )
 
 

@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import faultcast
 from faultcast import drifting_plant, fan_system, parse_model, serialize_model
 from faultcast.cli import main
 
@@ -117,9 +122,8 @@ def test_twin_tsv_with_witnesses(capsys, plant_file):
     lines = out.strip().splitlines()
     assert lines[0] == "# pairs\t10"
     assert lines[1] == "# relation\t13"
-    assert lines[2] == "# fastpath\tfalse"
     body = {}
-    for line in lines[3:]:
+    for line in lines[2:]:
         a, b, witness = line.split("\t")
         body[(a, b)] = witness
     assert len(body) == 10
@@ -134,7 +138,7 @@ def test_twin_json(capsys, plant_file):
     payload = json.loads(out)
     assert payload["pair_count"] == 10
     assert payload["relation_size"] == 13
-    assert payload["fastpath"] is False
+    assert set(payload) == {"pair_count", "relation_size", "pairs"}
     states = {tuple(entry["states"]) for entry in payload["pairs"]}
     assert ("B", "D") in states
     assert all(entry["witness"] is None for entry in payload["pairs"])
@@ -363,6 +367,49 @@ def test_gen_to_stdout(capsys):
     assert code == 0
     assert out.startswith("des v1\n")
     assert parse_model(out) == fan_system(1)
+
+
+def test_readme_quick_start_matches_the_cli(capsys, tmp_path):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Quick start", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    shown = block.splitlines()
+    assert shown[:2] == [
+        "$ faultcast gen fig3a -n 2 -o fan.des",
+        "$ faultcast twin fan.des | head -3",
+    ]
+    path = tmp_path / "fan.des"
+    code, _, _ = run_cli(capsys, "gen", "fig3a", "-n", "2", "-o", str(path))
+    assert code == 0
+    code, out, _ = run_cli(capsys, "twin", str(path))
+    assert code == 0
+    assert out.splitlines()[:3] == shown[2:]
+
+
+@pytest.mark.parametrize("command", ["twin", "validate"])
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_pipe_is_not_an_error(capsys, tmp_path, command, unbuffered):
+    # `faultcast twin fan40.des | head -1`: the reader goes away early.  With
+    # buffered stdout the short `validate` output is written at the end.
+    path = tmp_path / "fan40.des"
+    code, _, _ = run_cli(capsys, "gen", "fig3a", "-n", "40", "-o", str(path))
+    assert code == 0
+    src = str(Path(faultcast.__file__).parent.parent)
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "faultcast.cli", command, str(path)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert result.stderr == b""
+    assert result.returncode == 0
 
 
 def test_gen_bad_size_exits_2(capsys):

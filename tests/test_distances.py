@@ -193,8 +193,8 @@ def _reaches_fault(model, q):
         cur = stack.pop()
         if cur in model.faulty:
             return True
-        for _, _, dst in model.outgoing[cur]:
-            if dst not in seen:
+        for src, _, dst in model.transitions:
+            if src == cur and dst not in seen:
                 seen.add(dst)
                 stack.append(dst)
     return False

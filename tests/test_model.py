@@ -173,6 +173,14 @@ def test_fault_closure_extends_downstream(plant):
     )
     closed = fault_closure(refitted)
     assert {closed.states[q] for q in closed.faulty} == {"F", "G"}
+    # Silent moves carry the fault too.
+    m = make_model(
+        [("a", True), ("h", False)],
+        [("I", "a", "I"), ("I", "a", "B"), ("B", "h", "C"), ("C", "a", "C")],
+        "I",
+        faulty=["B"],
+    )
+    assert {m.states[q] for q in fault_closure(m).faulty} == {"B", "C"}
     # Already-closed sets come back unchanged.
     assert fault_closure(plant) is plant
 
@@ -208,7 +216,7 @@ def test_run_follows_exact_traces(plant, fan2):
 def test_run_deterministic_models_have_singleton_runs(fuse_short, fuse_long):
     rng = random.Random(5)
     for model in (fuse_short, fuse_long):
-        assert model.is_deterministic
+        assert len({(src, ev) for src, ev, _ in model.transitions}) == len(model.transitions)
         for _ in range(50):
             _, events = sample_run(model, rng, 12)
             for cut in range(len(events) + 1):
@@ -227,9 +235,8 @@ def _mask(states):
     return sum(1 << q for q in states)
 
 
-def test_closed_successor_masks_match_closures():
-    # Random models, valid or not: unobservable cycles are not rejected
-    # here, and the masks must still hold the full closures.
+def _valid_and_unvalidated_draws():
+    # Random models, valid or not: unobservable cycles are not rejected here.
     rng = random.Random(41)
     models = [random_live_model(rng, OracleConfig(max_states=12)) for _ in range(100)]
     for _ in range(100):
@@ -246,9 +253,13 @@ def test_closed_successor_masks_match_closures():
                 faulty=(),
             )
         )
-    cyclic = 0
-    for model in models:
-        cyclic += OBSERVATION_LIVENESS in _codes(validate(model))
+    assert sum(OBSERVATION_LIVENESS in _codes(validate(m)) for m in models) > 20
+    return models
+
+
+def test_closed_successor_masks_match_closures():
+    # The masks must hold the full closures, silent cycles included.
+    for model in _valid_and_unvalidated_draws():
         for ev, row in enumerate(model.closed_successors):
             if not model.events[ev].observable:
                 assert row is None
@@ -256,7 +267,22 @@ def test_closed_successor_masks_match_closures():
             for q in range(len(model.states)):
                 targets = unobservable_closure(model, model.successors(q, ev))
                 assert row[q] == _mask(targets)
-    assert cyclic > 20
+
+
+def test_move_tables_expand_back_to_the_transitions():
+    for model in _valid_and_unvalidated_draws():
+        observable, silent = model.move_tables
+        expanded = {
+            (q, ev, t) for q, row in enumerate(observable) for ev, ts in row.items() for t in ts
+        }
+        expanded |= {(q, ev, t) for q, moves in enumerate(silent) for ev, t in moves}
+        assert expanded == set(model.transitions)
+        assert all(model.events[ev].observable for row in observable for ev in row)
+        assert not any(model.events[ev].observable for moves in silent for ev, _ in moves)
+        for q in range(len(model.states)):
+            for ev in range(len(model.events)):
+                expected = tuple(t for s, e, t in model.transitions if (s, e) == (q, ev))
+                assert model.successors(q, ev) == expected
 
 
 def test_run_endpoints_always_inside_observation_belief():

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 
-from faultcast import INF, validate
+from faultcast import INF, drifting_plant, validate
 from faultcast.oracle import (
     OracleConfig,
     oracle_avoid_set,
@@ -126,6 +126,18 @@ def test_sample_run_shape_and_liveness():
         assert (src, ev, dst) in set(model.transitions)
 
 
+def test_oracle_reads_no_cached_adjacency_table():
+    # The reference must not share a table with the code it checks.
+    model = drifting_plant()
+    oracle_dmin(model)
+    oracle_dmax(model)
+    oracle_pairs(model)
+    oracle_is_ij_predictable(model, 1, 2)
+    sample_run(model, random.Random(3), 10)
+    cached = {"incoming", "move_tables", "closed_successors"}
+    assert not cached & set(vars(model))
+
+
 def test_generator_population_is_varied():
     # The sweeps lean on seeing faulty and fault-free, deterministic and
     # nondeterministic, fully and partially observable draws.
@@ -133,7 +145,16 @@ def test_generator_population_is_varied():
     models = [random_live_model(rng, OracleConfig()) for _ in range(120)]
     assert any(model.faulty for model in models)
     assert any(not model.faulty for model in models)
-    assert any(model.fully_observable for model in models)
-    assert any(not model.fully_observable for model in models)
-    assert any(model.is_deterministic for model in models)
-    assert any(not model.is_deterministic for model in models)
+    assert any(_all_observable(model) for model in models)
+    assert any(not _all_observable(model) for model in models)
+    assert any(_deterministic(model) for model in models)
+    assert any(not _deterministic(model) for model in models)
+
+
+def _all_observable(model):
+    return all(event.observable for event in model.events)
+
+
+def _deterministic(model):
+    moves = {(src, ev) for src, ev, _ in model.transitions}
+    return len(moves) == len(set(model.transitions))

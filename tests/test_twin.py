@@ -10,10 +10,12 @@ from faultcast import (
     DesModel,
     NoWitnessError,
     build_twin,
+    compute_distances,
     fan_system,
     make_model,
     reachable_edges,
     unobservable_closure,
+    validate,
     witness_observations,
 )
 from faultcast.oracle import OracleConfig, oracle_pairs, random_live_model
@@ -31,7 +33,6 @@ def test_plant_pairs(plant, plant_analysis):
     ]
     assert twin.pair_count == 10
     assert twin.relation_size == 13
-    assert not twin.fastpath
 
 
 def test_plant_relatedness_queries(plant, plant_analysis):
@@ -71,9 +72,39 @@ def test_witness_unknown_pair_is_an_error(plant, plant_analysis):
         witness_observations(plant_analysis.twin, (s["E"], s["G"]))
 
 
-def test_fastpath_on_deterministic_fully_observable(fuse_short, short_analysis):
+def _bfs_depths(model):
+    # The fewest moves from the initial state to each reachable state.
+    depth = {model.initial: 0}
+    queue = [model.initial]
+    for q in queue:
+        for src, _, dst in model.transitions:
+            if src == q and dst not in depth:
+                depth[dst] = depth[q] + 1
+                queue.append(dst)
+    return depth
+
+
+def _deterministic(model):
+    moves = {(src, ev) for src, ev, _ in model.transitions}
+    return len(moves) == len(set(model.transitions))
+
+
+def _assert_only_the_diagonal(model):
+    # Every observation pins the state, so the pair search reaches only the
+    # diagonal of the reachable states, each by a breadth-first path.
+    assert _deterministic(model)
+    assert all(event.observable for event in model.events)
+    twin = build_twin(model, witnesses=True)
+    depth = _bfs_depths(model)
+    assert twin.pairs == oracle_pairs(model) == {(q, q) for q in depth}
+    for q, d in depth.items():
+        assert len(witness_observations(twin, (q, q))) == d
+
+
+def test_fuses_reach_only_the_diagonal(fuse_short, fuse_long, short_analysis):
+    for model in (fuse_short, fuse_long):
+        _assert_only_the_diagonal(model)
     twin = short_analysis.twin
-    assert twin.fastpath
     assert _named_pairs(fuse_short, twin) == [
         ("S0", "S0"), ("S1", "S1"), ("S2", "S2"),
     ]
@@ -83,18 +114,16 @@ def test_fastpath_on_deterministic_fully_observable(fuse_short, short_analysis):
     assert [fuse_short.events[e].name for e in witness] == ["a"]
 
 
-def test_fastpath_equals_generic_construction(fuse_short, fuse_long):
-    for model in (fuse_short, fuse_long):
-        fast = build_twin(model)
-        slow = build_twin(model, use_fastpath=False)
-        assert fast.fastpath and not slow.fastpath
-        assert fast.pairs == slow.pairs
+def test_deterministic_all_observable_draws_reach_only_the_diagonal():
+    rng = random.Random(44)
+    config = OracleConfig(observable_prob=1.0, max_out_degree=1)
+    for _ in range(60):
+        _assert_only_the_diagonal(random_live_model(rng, config))
 
 
-def test_fastpath_gate_requires_determinism():
+def test_nondeterminism_confuses_states_with_every_event_observable():
     # Fully observable but nondeterministic: a and b each confuse two
-    # states, so the relation is not the diagonal and the fast path must
-    # stay off.
+    # states, so the relation is not the diagonal.
     m = make_model(
         [("a", True), ("b", True)],
         [
@@ -104,9 +133,9 @@ def test_fastpath_gate_requires_determinism():
         ],
         "I",
     )
-    assert m.fully_observable and not m.is_deterministic
+    assert all(event.observable for event in m.events)
+    assert not _deterministic(m)
     twin = build_twin(m)
-    assert not twin.fastpath
     s = m.state_index
     assert twin.related(s["P"], s["Q"])
     assert twin.related(s["Q"], s["R"])
@@ -143,18 +172,11 @@ def test_fan_pairs_match_oracle_small():
 
 
 def test_pairs_match_oracle_on_random_models():
-    rng = random.Random(41)
-    for _ in range(120):
-        model = random_live_model(rng, OracleConfig())
-        assert build_twin(model).pairs == oracle_pairs(model)
-
-
-def test_pairs_match_generic_construction_on_random_models():
-    # The fast path may only fire where it is equivalent.
-    rng = random.Random(42)
-    for _ in range(120):
-        model = random_live_model(rng, OracleConfig())
-        assert build_twin(model).pairs == build_twin(model, use_fastpath=False).pairs
+    for seed in (41, 42):
+        rng = random.Random(seed)
+        for _ in range(120):
+            model = random_live_model(rng, OracleConfig())
+            assert build_twin(model).pairs == oracle_pairs(model)
 
 
 def _belief_after(model, events):
@@ -223,16 +245,17 @@ def test_reachable_edges_stay_inside_relation(plant, plant_analysis):
 
 
 def test_move_tables_are_built_once_per_model(monkeypatch):
-    # The pair search and the edge export read one cached copy of the
-    # per-state move tables, so `twin --dot` builds them once.
+    # Validation, the distances, the pair search and the edge export read
+    # one cached copy of the forward table, so `twin --dot` builds it once.
     built = []
     build = DesModel.move_tables.func
     monkeypatch.setattr(
         DesModel.move_tables, "func", lambda model: built.append(build(model)) or built[-1]
     )
     model = fan_system(4)
+    assert validate(model).ok
+    compute_distances(model)
     twin = build_twin(model)
-    assert not twin.fastpath
     assert list(reachable_edges(model, twin))
     assert len(built) == 1
     assert model.move_tables is built[0]
