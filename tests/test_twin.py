@@ -172,11 +172,20 @@ def test_fan_pairs_match_oracle_small():
 
 
 def test_pairs_match_oracle_on_random_models():
-    for seed in (41, 42):
-        rng = random.Random(seed)
-        for _ in range(120):
-            model = random_live_model(rng, OracleConfig())
-            assert build_twin(model).pairs == oracle_pairs(model)
+    rng = random.Random(41)
+    for _ in range(120):
+        model = random_live_model(rng, OracleConfig())
+        assert build_twin(model).pairs == oracle_pairs(model)
+
+
+def test_pairs_match_generic_construction_on_random_models():
+    # Recording parent links must not change which pairs the search finds.
+    rng = random.Random(42)
+    for _ in range(120):
+        model = random_live_model(rng, OracleConfig())
+        pairs = oracle_pairs(model)
+        assert build_twin(model).pairs == pairs
+        assert build_twin(model, witnesses=True).pairs == pairs
 
 
 def _belief_after(model, events):
