@@ -13,9 +13,9 @@ union of its members' rows in the model's closed-successor table, and an
 empty union means no run explains the event.  One engine, the observer
 (subset) construction built lazily, numbers beliefs as found and memoizes
 the edges between them: a new belief costs one pass over its members, a
-revisited one a dict lookup.  A session flushes it back to the current
-belief at DEFAULT_NODE_CAP beliefs; compile_predictor expands every
-belief into an automaton and refuses past its cap.
+revisited one a dict lookup.  Sessions on a model share the one engine it
+keeps, which starts new tables at DEFAULT_NODE_CAP beliefs;
+compile_predictor expands an engine of its own and refuses past its cap.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
 from operator import or_
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .distances import DistanceTable, compute_distances
 from .errors import CapExceededError, ImpossibleObservationError
@@ -69,7 +69,7 @@ class _BeliefEngine:
     """The beliefs of one model found so far, numbered in discovery order,
     and their memoized edges, keyed by node * len(events) + event."""
 
-    def __init__(self, model: DesModel, table: DistanceTable, start: Iterable[int] = ()):
+    def __init__(self, model: DesModel, table: DistanceTable):
         self.model, self.table = model, table
         self.rows = model.closed_successors
         self.width = len(model.events)
@@ -78,9 +78,18 @@ class _BeliefEngine:
         self.intervals: list[Interval] = []
         self.edges: dict[int, int] = {}
         self._shared: dict[tuple, Interval] = {}  # one Interval per (lo, hi)
-        # The states to start from; by default the initial state's closure.
-        start = start or unobservable_closure(model, (model.initial,))
-        self.add(sum(1 << q for q in start))
+        self.start = sum(1 << q for q in unobservable_closure(model, (model.initial,)))
+        self.add(self.start)
+
+    def node(self, mask: int) -> int:
+        """The node of a belief mask, added when new, after a flush when full."""
+        node = self.index.get(mask)
+        if node is None:
+            if len(self.masks) >= DEFAULT_NODE_CAP:
+                # New tables, not cleared: sessions still read their nodes in the old.
+                self.index, self.masks, self.intervals, self.edges = {}, [], [], {}
+            node = self.add(mask)
+        return node
 
     def add(self, mask: int) -> int:
         members = _members(mask)
@@ -100,7 +109,7 @@ class _BeliefEngine:
 
     def step(self, node: int, event: int) -> int:
         """The node after observing event at node; a new target first
-        flushes the engine back to node when it is full."""
+        flushes the engine when it is full."""
         if not 0 <= event < self.width:
             raise ImpossibleObservationError(f"unknown event index: {event}")
         nxt = self.edges.get(node * self.width + event)
@@ -112,27 +121,23 @@ class _BeliefEngine:
         mask = self.successor(_members(self.masks[node]), event)
         if not mask:
             raise ImpossibleObservationError(f"no run explains observing {name} here")
-        nxt = self.index.get(mask)
-        if nxt is None:
-            if len(self.masks) >= DEFAULT_NODE_CAP:
-                kept = self.masks[node]
-                self.index, self.masks, self.edges = {kept: 0}, [kept], {}
-                self.intervals, node = [self.intervals[node]], 0
-            nxt = self.add(mask)
-        self.edges[node * self.width + event] = nxt
+        masks = self.masks
+        nxt = self.node(mask)
+        if self.masks is masks:  # not flushed, so node is still one of these tables
+            self.edges[node * self.width + event] = nxt
         return nxt
 
-    def belief(self, node: int) -> BeliefState:
-        members = _members(self.masks[node])
+    def belief(self, mask: int, interval: Interval) -> BeliefState:
+        members = _members(mask)
         # The first extreme member in ascending order: ties go to the smallest index.
         dmin, dmax = self.table.dmin.__getitem__, self.table.dmax.__getitem__
         witnesses = (min(members, key=dmin), max(members, key=dmax))
-        return BeliefState(frozenset(members), self.intervals[node], witnesses)
+        return BeliefState(frozenset(members), interval, witnesses)
 
 
 def initial_belief(model: DesModel, table: DistanceTable) -> BeliefState:
     """The belief before any observation: the initial state's closure."""
-    return _BeliefEngine(model, table).belief(0)
+    return PredictionSession(model, table).belief
 
 
 def belief_step(
@@ -144,8 +149,9 @@ def belief_step(
     unobservable or no member can take it, since then no run of the model
     produces this observation.
     """
-    engine = _BeliefEngine(model, table, belief.members)
-    return engine.belief(engine.step(0, event))
+    engine = _BeliefEngine(model, table)
+    node = engine.step(engine.node(sum(1 << q for q in belief.members)), event)
+    return engine.belief(engine.masks[node], engine.intervals[node])
 
 
 def predict_sequence(
@@ -161,22 +167,23 @@ class PredictionSession:
 
     Events may be given by index or by name.  The current belief and its
     interval are available between feeds; a rejected event leaves them
-    unchanged.
+    unchanged.  Sessions handed no table, or the model's own, share it and
+    the model's belief engine, so feed them from one thread at a time; a
+    session handed another table has an engine of its own.
     """
 
     def __init__(self, model: DesModel, table: DistanceTable | None = None):
         self.model = model
-        self.table = table if table is not None else compute_distances(model)
-        self._engine = _BeliefEngine(model, self.table)
-        self._node = 0
+        own = table is None or table is compute_distances(model)
+        self.table = compute_distances(model) if own else table
+        self._engine = model.belief_engine if own else _BeliefEngine(model, table)
+        self._node = self._engine.node(self._engine.start)
+        self._masks = self._engine.masks  # the tables that self._node indexes
+        self.interval: Interval = self._engine.intervals[self._node]
 
     @property
     def belief(self) -> BeliefState:
-        return self._engine.belief(self._node)
-
-    @property
-    def interval(self) -> Interval:
-        return self._engine.intervals[self._node]
+        return self._engine.belief(self._masks[self._node], self.interval)
 
     def feed(self, event: Union[int, str]) -> Interval:
         if isinstance(event, str):
@@ -184,8 +191,12 @@ class PredictionSession:
             if index is None:
                 raise ImpossibleObservationError(f"unknown event name: {event}")
             event = index
-        self._node = self._engine.step(self._node, event)
-        return self._engine.intervals[self._node]
+        engine, node = self._engine, self._node
+        if self._masks is not engine.masks:  # flushed since this session's last step
+            node = engine.node(self._masks[node])
+        self._node = node = engine.step(node, event)
+        self._masks, self.interval = engine.masks, engine.intervals[node]
+        return self.interval
 
 
 @dataclass(frozen=True)
@@ -210,9 +221,7 @@ def compile_predictor(
     Raises CapExceededError as soon as a (cap+1)-th distinct belief shows
     up, reporting how many were explored.
     """
-    if table is None:
-        table = compute_distances(model)
-    engine = _BeliefEngine(model, table)
+    engine = _BeliefEngine(model, table or compute_distances(model))
     observable = [e for e, row in enumerate(engine.rows) if row is not None]
     for node, mask in enumerate(engine.masks):  # grows as beliefs are found
         members = _members(mask)
@@ -227,5 +236,5 @@ def compile_predictor(
                 nxt = engine.add(target)
             engine.edges[node * engine.width + event] = nxt
     edges = {divmod(key, engine.width): nxt for key, nxt in engine.edges.items()}
-    nodes = tuple(map(engine.belief, range(len(engine.masks))))
+    nodes = tuple(map(engine.belief, engine.masks, engine.intervals))
     return BeliefAutomaton(nodes=nodes, edges=edges, initial=0)

@@ -31,7 +31,7 @@ from .families import GENERATORS
 from .intervals import INF, ExtNat, format_extnat, parse_extnat
 from .model import DesModel, fault_closure, validate
 from .oracle import oracle_dmax, oracle_dmin, oracle_is_ij_predictable
-from .predictability import analyze, compute_frontier, is_ij_predictable
+from .predictability import analyze, is_ij_predictable
 from .twin import build_twin, reachable_edges, witness_observations
 
 
@@ -279,8 +279,7 @@ def _cmd_twin(args: argparse.Namespace) -> int:
 
 def _cmd_predictability(args: argparse.Namespace) -> int:
     model = _load(args)
-    analysis = analyze(model)
-    frontier = analysis.frontier
+    frontier = analyze(model).frontier
     if args.format == "json":
         payload = {
             "dmin_init": _ext_json(frontier.dmin_init),
@@ -302,9 +301,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     if args.i < 0:
         raise InvalidIntervalError(f"lead time must be a natural: {args.i}")
     model = _load(args)
-    table = compute_distances(model)
-    twin = build_twin(model, witnesses=args.witness or args.format == "json")
-    frontier = compute_frontier(model, table, twin)
+    frontier = analyze(model, witnesses=args.witness or args.format == "json").frontier
     verdict = is_ij_predictable(frontier, args.i, args.j)
 
     blocking = None

@@ -6,7 +6,8 @@ states-per-observation a run can spend outside the fault set, counted as
 |observations| + 1 over runs from q that stay non-faulty (so a faulty q
 has dmax 0, and a state that can avoid the fault set forever has dmax
 INF).  Together they bound, from any state, how soon and how late the
-fault can arrive, measured in observations.
+fault can arrive, measured in observations.  compute_distances builds a
+model's table once and keeps it on the model for every later caller.
 
 The three computations:
 
@@ -47,6 +48,11 @@ class DistanceTable:
 
 
 def compute_distances(model: DesModel) -> DistanceTable:
+    """The model's one DistanceTable, built on first use and kept on the model."""
+    return model.distance_table
+
+
+def build_distances(model: DesModel) -> DistanceTable:
     """Bundle dmin, the avoid set, and dmax for a model."""
     avoid = compute_avoid_set(model)
     return DistanceTable(

@@ -138,6 +138,18 @@ class DesModel:
                 row[src] |= closure[dst]
         return tuple(row if row is None else tuple(row) for row in rows)
 
+    @cached_property
+    def distance_table(self):
+        """The model's one DistanceTable; see compute_distances."""
+        from .distances import build_distances  # which imports this module
+        return build_distances(self)
+
+    @cached_property
+    def belief_engine(self):
+        """The belief engine shared by the model's PredictionSessions."""
+        from .belief import _BeliefEngine  # which imports this module
+        return _BeliefEngine(self, self.distance_table)
+
     # -- semantic identity ----------------------------------------------
 
     @cached_property

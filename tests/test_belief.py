@@ -10,16 +10,24 @@ import faultcast.belief
 from faultcast import (
     INF,
     CapExceededError,
+    DesModel,
+    DistanceTable,
     ImpossibleObservationError,
     Interval,
     PredictionSession,
+    analyze,
     belief_step,
     build_twin,
     compile_predictor,
     compute_distances,
+    drifting_plant,
     initial_belief,
+    parse_model,
     predict_sequence,
+    serialize_model,
+    validate,
 )
+from faultcast.cli import _automaton_json, main
 from faultcast.oracle import (
     OracleConfig,
     oracle_beliefs,
@@ -394,6 +402,107 @@ def test_sessions_match_a_subset_tracker_across_flushes(monkeypatch):
     hits, flushes = _check_sessions(58, 120, 4)
     assert hits > 5000
     assert flushes > 300
+
+
+def _assert_tracks(session, table, belief):
+    lo_w, hi_w = _witnesses(table, belief)
+    assert session.belief.members == belief
+    assert session.belief.witnesses == (lo_w, hi_w)
+    assert session.interval == Interval(table.dmin[lo_w], table.dmax[hi_w])
+
+
+def test_interleaved_sessions_share_one_engine_across_flushes(monkeypatch):
+    # Round-robin feeds make one session flush the model's engine while the
+    # others still hold nodes of the old tables.
+    monkeypatch.setattr(faultcast.belief, "DEFAULT_NODE_CAP", 4)
+    flushes = 0
+    for rng, model in _random_models(59, 60, max_states=40):
+        table = compute_distances(model)
+        engine = model.belief_engine
+        streams = list(_looping_streams(model, rng, 4))
+        sessions = [PredictionSession(model) for _ in streams]
+        beliefs = [_closure(model, [model.initial])] * len(streams)
+        assert all(session._engine is engine for session in sessions)
+        for step in range(max(map(len, streams))):
+            for k, (session, stream) in enumerate(zip(sessions, streams)):
+                if step >= len(stream):
+                    continue
+                masks = engine.masks
+                # A rejected event, also from a session holding old tables,
+                # changes nothing.
+                with pytest.raises(ImpossibleObservationError):
+                    session.feed(len(model.events))
+                beliefs[k] = _image(model, beliefs[k], stream[step])
+                assert session.feed(stream[step]) == session.interval
+                flushes += engine.masks is not masks
+                assert len(engine.masks) <= 4
+                for other, belief in zip(sessions, beliefs):
+                    _assert_tracks(other, table, belief)
+    assert flushes > 100
+
+
+def test_sessions_share_the_model_caches(monkeypatch):
+    built = []
+    build = DesModel.distance_table.func
+    monkeypatch.setattr(
+        DesModel.distance_table, "func", lambda model: built.append(build(model)) or built[-1]
+    )
+    model = drifting_plant()
+    assert validate(model).ok
+    analysis = analyze(model)
+    compile_predictor(model)
+    sessions = [PredictionSession(model) for _ in range(10)]
+    for session in sessions:
+        assert session.feed("a") == Interval(2, INF)
+    assert len(built) == 1
+    assert analysis.table is compute_distances(model) is built[0]
+    engine = model.belief_engine
+    assert all(s.table is built[0] and s._engine is engine for s in sessions)
+    # The first feed found the edge; the other nine were dict hits.
+    assert len(engine.masks) == 2 and len(engine.edges) == 1
+
+    # Another table with other numbers gets an engine of its own.
+    n = len(model.states)
+    other = DistanceTable(
+        dmin=tuple(q % 3 for q in range(n)), dmax=tuple(q + 3 for q in range(n)), avoid=frozenset()
+    )
+    masks, edges = list(engine.masks), dict(engine.edges)
+    tables = engine.index, engine.masks, engine.edges
+    session = PredictionSession(model, other)
+    assert session.table is other and session._engine is not engine
+    belief = _closure(model, [model.initial])
+    _assert_tracks(session, other, belief)
+    for name in ["a", "b", "a", "d", "c"]:
+        belief = _image(model, belief, model.event_index[name])
+        session.feed(name)
+        _assert_tracks(session, other, belief)
+    assert all(x is y for x, y in zip((engine.index, engine.masks, engine.edges), tables))
+    assert engine.masks == masks and engine.edges == edges
+    assert len(built) == 1
+
+
+def test_compile_ignores_session_state(monkeypatch, capsys, tmp_path):
+    # Small enough that the sessions flush the model's engine, too.
+    monkeypatch.setattr(faultcast.belief, "DEFAULT_NODE_CAP", 4)
+    for rng, model in _random_models(61, 100, max_states=12):
+        text = serialize_model(model)
+        stepped = parse_model(text)
+        for stream in _looping_streams(stepped, rng, 3):
+            session = PredictionSession(stepped)
+            for event in stream:
+                session.feed(event)
+        assert compile_predictor(stepped) == compile_predictor(parse_model(text))
+    text = serialize_model(drifting_plant())
+    (tmp_path / "plant.des").write_text(text)
+    out = tmp_path / "predictor.json"
+    assert main(["compile", "--json", str(out), str(tmp_path / "plant.des")]) == 0
+    capsys.readouterr()
+    stepped = parse_model(text)
+    for _ in range(3):
+        session = PredictionSession(stepped)
+        for name in ["a", "b", "a", "d", "c", "a", "a"]:
+            session.feed(name)
+    assert _automaton_json(stepped, compile_predictor(stepped)) == out.read_text()
 
 
 def test_rejected_events_leave_the_session_unchanged(plant):
