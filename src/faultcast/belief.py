@@ -12,10 +12,16 @@ A belief is a bit mask over the states; its successor on an event is the
 union of its members' rows in the model's closed-successor table, and an
 empty union means no run explains the event.  One engine, the observer
 (subset) construction built lazily, numbers beliefs as found and memoizes
-the edges between them: a new belief costs one pass over its members, a
-revisited one a dict lookup.  Sessions on a model share the one engine it
-keeps, which starts new tables at DEFAULT_NODE_CAP beliefs;
-compile_predictor expands an engine of its own and refuses past its cap.
+the edges between them; a revisited edge costs a dict lookup.  A belief
+is read for its interval when found and for its successors when first
+left, and the last read is kept.  A dense mask, with at least one member
+per byte on average, is read in at most ceil(n/8) lookups of memoized
+byte entries (the method of four Russians), which give its successor on
+every observable event, its interval and its witnesses without decoding
+it.  A sparse mask is read by one pass over its members.  Sessions on a
+model share the one engine it keeps, which starts new tables at
+DEFAULT_NODE_CAP beliefs; compile_predictor expands an engine of its
+own, reads each belief once, and refuses past its cap.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
-from operator import or_
+from operator import itemgetter, or_
 from typing import Mapping, Sequence, Union
 
 from .distances import DistanceTable, compute_distances
@@ -31,7 +37,9 @@ from .errors import CapExceededError, ImpossibleObservationError
 from .intervals import Interval
 from .model import DesModel, unobservable_closure
 
-#: Node ceiling of compile_predictor, and of a session's belief cache.
+#: Node ceiling of the engine a model's sessions share, read at every
+#: flush.  compile_predictor's cap and `faultcast compile --cap` default to
+#: the value it has when this module and the CLI are imported.
 DEFAULT_NODE_CAP = 1 << 16
 
 
@@ -49,37 +57,59 @@ class BeliefState:
 
 
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
+_PACKED, _LO, _HI = itemgetter(0), itemgetter(1), itemgetter(3)  # fields of a byte entry
+# The set bits of each byte value, ascending.
+_BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
 
 
 def _members(mask: int) -> list[int]:
     """The set bits of mask, ascending."""
-    if mask.bit_count() * 8 < mask.bit_length():
-        # Sparse: peel off the lowest set bit.
-        members = []
-        while mask:
-            low = mask & -mask
-            members.append(low.bit_length() - 1)
-            mask ^= low
-        return members
-    bits = bin(mask)[:1:-1].encode().translate(_BITS)
-    return list(compress(range(len(bits)), bits))
+    if mask.bit_count() * 8 >= mask.bit_length():
+        bits = bin(mask)[:1:-1].encode().translate(_BITS)
+        return list(compress(range(len(bits)), bits))
+    return _sparse_members(mask)
+
+
+def _sparse_members(mask: int) -> list[int]:
+    """The set bits of mask, ascending, in one step per member."""
+    members = []
+    while mask:  # peel off the lowest set bit
+        low = mask & -mask
+        members.append(low.bit_length() - 1)
+        mask ^= low
+    return members
 
 
 class _BeliefEngine:
     """The beliefs of one model found so far, numbered in discovery order,
-    and their memoized edges, keyed by node * len(events) + event."""
+    and their memoized edges, keyed by node * len(events) + event.
+
+    A dense mask is read a byte at a time: the entry of a (byte position,
+    byte value) holds, for the at most 8 states of that byte, the OR of
+    their closed-successor rows with every observable event's row n bits
+    apart, and their least dmin and greatest dmax with the first member
+    reaching each.  Entries are filled on first use and depend only on the
+    model and the table, so they outlive a flush.
+    """
 
     def __init__(self, model: DesModel, table: DistanceTable):
         self.model, self.table = model, table
         self.rows = model.closed_successors
         self.width = len(model.events)
+        n = len(model.states)
+        observable = [e for e, row in enumerate(self.rows) if row is not None]
+        self.shifts = {e: k * n for k, e in enumerate(observable)}
+        self.full = (1 << n) - 1
+        self._bytes: dict[int, tuple] = {}  # byte position * 256 + byte value -> entry
+        self._packed: list[int | None] = [None] * n  # per state, its rows n bits apart
+        self._keys = range(0, 256 * ((n + 7) // 8), 256)
         self.index: dict[int, int] = {}
         self.masks: list[int] = []
         self.intervals: list[Interval] = []
         self.edges: dict[int, int] = {}
         self._shared: dict[tuple, Interval] = {}  # one Interval per (lo, hi)
+        self._last_mask, self._last_read = 0, (None, [])
         self.start = sum(1 << q for q in unobservable_closure(model, (model.initial,)))
-        self.add(self.start)
 
     def node(self, mask: int) -> int:
         """The node of a belief mask, added when new, after a flush when full."""
@@ -88,24 +118,66 @@ class _BeliefEngine:
             if len(self.masks) >= DEFAULT_NODE_CAP:
                 # New tables, not cleared: sessions still read their nodes in the old.
                 self.index, self.masks, self.intervals, self.edges = {}, [], [], {}
-            node = self.add(mask)
+            node = self.index[mask] = len(self.masks)
+            self.masks.append(mask)
+            self.intervals.append(self.interval(self.witnesses(mask)))
         return node
 
-    def add(self, mask: int) -> int:
-        members = _members(mask)
-        dmin, dmax = self.table.dmin.__getitem__, self.table.dmax.__getitem__
-        bounds = (min(map(dmin, members)), max(map(dmax, members)))
+    def interval(self, witnesses: tuple[int, int]) -> Interval:
+        """The hull interval whose bounds the two witnesses reach, shared."""
+        bounds = (self.table.dmin[witnesses[0]], self.table.dmax[witnesses[1]])
         interval = self._shared.get(bounds)
         if interval is None:
             interval = self._shared[bounds] = Interval(*bounds)
-        node = self.index[mask] = len(self.masks)
-        self.masks.append(mask)
-        self.intervals.append(interval)
-        return node
+        return interval
 
-    def successor(self, members: list[int], event: int) -> int:
-        """The belief mask after observing event, 0 when none."""
-        return reduce(or_, filter(None, map(self.rows[event].__getitem__, members)), 0)
+    def _entry(self, key: int) -> tuple:
+        # The low 8 bits of key are the byte value, the rest its position.
+        base, packed = (key >> 8) * 8, self._packed
+        members = [base + i for i in _BYTE_BITS[key & 255]]
+        for q in members:
+            if packed[q] is None:
+                packed[q] = sum(self.rows[e][q] << shift for e, shift in self.shifts.items())
+        dmin, dmax = self.table.dmin.__getitem__, self.table.dmax.__getitem__
+        lo, hi = min(members, key=dmin), max(members, key=dmax)
+        entry = (reduce(or_, map(packed.__getitem__, members)), dmin(lo), lo, dmax(hi), hi)
+        self._bytes[key] = entry
+        return entry
+
+    def read(self, mask: int) -> tuple[int | None, list]:
+        """For a dense mask, the OR of its byte entries' packed rows and the
+        entries of its non-zero bytes, ascending; for a sparse one, None and
+        its members.  The last read is kept: a step often leaves the belief
+        the previous step added, and compile_predictor reads each node
+        twice in a row."""
+        if mask == self._last_mask:
+            return self._last_read
+        # Dense: at least one member per byte up to the top one, on average.
+        if mask.bit_count() * 8 >= mask.bit_length():
+            get, data = self._bytes.get, mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+            entries = [get(k + b) or self._entry(k + b) for k, b in zip(self._keys, data) if b]
+            read = reduce(or_, map(_PACKED, entries)), entries
+        else:
+            read = None, _sparse_members(mask)
+        self._last_mask, self._last_read = mask, read
+        return read
+
+    def successor(self, read: tuple[int | None, list], event: int) -> int:
+        """The belief mask after observing event from a read belief, 0 when none."""
+        packed, members = read
+        if packed is None:
+            return reduce(or_, filter(None, map(self.rows[event].__getitem__, members)), 0)
+        return packed >> self.shifts[event] & self.full
+
+    def witnesses(self, mask: int) -> tuple[int, int]:
+        """The first member of least dmin and the first of greatest dmax,
+        in ascending order: ties go to the smallest index."""
+        packed, read = self.read(mask)
+        if packed is None:
+            dmin, dmax = self.table.dmin.__getitem__, self.table.dmax.__getitem__
+            return min(read, key=dmin), max(read, key=dmax)
+        # min and max keep the first extreme entry, and bytes ascend.
+        return min(read, key=_LO)[2], max(read, key=_HI)[4]
 
     def step(self, node: int, event: int) -> int:
         """The node after observing event at node; a new target first
@@ -118,7 +190,7 @@ class _BeliefEngine:
         name = self.model.events[event].name
         if self.rows[event] is None:
             raise ImpossibleObservationError(f"event {name} is not observable")
-        mask = self.successor(_members(self.masks[node]), event)
+        mask = self.successor(self.read(self.masks[node]), event)
         if not mask:
             raise ImpossibleObservationError(f"no run explains observing {name} here")
         masks = self.masks
@@ -128,11 +200,14 @@ class _BeliefEngine:
         return nxt
 
     def belief(self, mask: int, interval: Interval) -> BeliefState:
-        members = _members(mask)
-        # The first extreme member in ascending order: ties go to the smallest index.
-        dmin, dmax = self.table.dmin.__getitem__, self.table.dmax.__getitem__
-        witnesses = (min(members, key=dmin), max(members, key=dmax))
-        return BeliefState(frozenset(members), interval, witnesses)
+        return BeliefState(frozenset(_members(mask)), interval, self.witnesses(mask))
+
+
+def _engine(model: DesModel, table: DistanceTable) -> _BeliefEngine:
+    """The model's shared engine for its own table, else one of its own."""
+    if table is compute_distances(model):
+        return model.belief_engine
+    return _BeliefEngine(model, table)
 
 
 def initial_belief(model: DesModel, table: DistanceTable) -> BeliefState:
@@ -149,7 +224,7 @@ def belief_step(
     unobservable or no member can take it, since then no run of the model
     produces this observation.
     """
-    engine = _BeliefEngine(model, table)
+    engine = _engine(model, table)
     node = engine.step(engine.node(sum(1 << q for q in belief.members)), event)
     return engine.belief(engine.masks[node], engine.intervals[node])
 
@@ -158,8 +233,10 @@ def predict_sequence(
     model: DesModel, table: DistanceTable, events: Sequence[int]
 ) -> Interval:
     """The interval announced after observing the whole sequence."""
-    engine = _BeliefEngine(model, table)
-    return engine.intervals[reduce(engine.step, events, 0)]
+    engine = _engine(model, table)
+    # Step first: a flush on the way replaces engine.intervals.
+    node = reduce(engine.step, events, engine.node(engine.start))
+    return engine.intervals[node]
 
 
 class PredictionSession:
@@ -174,9 +251,8 @@ class PredictionSession:
 
     def __init__(self, model: DesModel, table: DistanceTable | None = None):
         self.model = model
-        own = table is None or table is compute_distances(model)
-        self.table = compute_distances(model) if own else table
-        self._engine = model.belief_engine if own else _BeliefEngine(model, table)
+        self.table = compute_distances(model) if table is None else table
+        self._engine = _engine(model, self.table)
         self._node = self._engine.node(self._engine.start)
         self._masks = self._engine.masks  # the tables that self._node indexes
         self.interval: Interval = self._engine.intervals[self._node]
@@ -222,19 +298,30 @@ def compile_predictor(
     up, reporting how many were explored.
     """
     engine = _BeliefEngine(model, table or compute_distances(model))
-    observable = [e for e, row in enumerate(engine.rows) if row is not None]
+    # Each node's witnesses, kept for its BeliefState: a refused compile
+    # builds none, and two lists of ints hold less than a list of pairs.
+    lows, highs = [], []
+    engine.index[engine.start] = 0
+    engine.masks.append(engine.start)
     for node, mask in enumerate(engine.masks):  # grows as beliefs are found
-        members = _members(mask)
-        for event in observable:
-            target = engine.successor(members, event)
+        # A node gets its interval here, not when found, so that one read
+        # of it gives both its successors and its witnesses.
+        read, (lo, hi) = engine.read(mask), engine.witnesses(mask)
+        engine.intervals.append(engine.interval((lo, hi)))
+        lows.append(lo)
+        highs.append(hi)
+        for event in engine.shifts:
+            target = engine.successor(read, event)
             if not target:
                 continue
             nxt = engine.index.get(target)
             if nxt is None:
                 if len(engine.masks) >= cap:
                     raise CapExceededError(cap, len(engine.masks))
-                nxt = engine.add(target)
+                nxt = engine.index[target] = len(engine.masks)
+                engine.masks.append(target)
             engine.edges[node * engine.width + event] = nxt
     edges = {divmod(key, engine.width): nxt for key, nxt in engine.edges.items()}
-    nodes = tuple(map(engine.belief, engine.masks, engine.intervals))
+    members = map(frozenset, map(_members, engine.masks))
+    nodes = tuple(map(BeliefState, members, engine.intervals, zip(lows, highs)))
     return BeliefAutomaton(nodes=nodes, edges=edges, initial=0)

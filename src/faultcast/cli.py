@@ -117,7 +117,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("compile", help="enumerate all reachable beliefs")
     with_model(sub)
-    sub.add_argument("--cap", type=int, default=DEFAULT_NODE_CAP, help="node limit")
+    sub.add_argument(
+        "--cap", type=int, default=DEFAULT_NODE_CAP,
+        help="refuse past this many beliefs (default %(default)s)",
+    )
     sub.add_argument("--dot", metavar="FILE", help="write the automaton as DOT")
     sub.add_argument("--json", metavar="FILE", help="write the automaton as JSON")
     sub.set_defaults(func=_cmd_compile)

@@ -12,6 +12,7 @@ from faultcast import (
     CapExceededError,
     DesModel,
     DistanceTable,
+    Event,
     ImpossibleObservationError,
     Interval,
     PredictionSession,
@@ -27,6 +28,7 @@ from faultcast import (
     serialize_model,
     validate,
 )
+from faultcast.belief import _BeliefEngine
 from faultcast.cli import _automaton_json, main
 from faultcast.oracle import (
     OracleConfig,
@@ -516,3 +518,115 @@ def test_rejected_events_leave_the_session_unchanged(plant):
         assert session.belief == belief
         assert session.interval == interval
     assert session.feed("d") == Interval(1, 2)
+
+
+# -- the byte tables against a member loop ---------------------------------
+
+
+def _mask(states):
+    return sum(1 << q for q in states)
+
+
+def _check_reads(engine, model, table, masks):
+    """Compare the engine's reads of belief masks with member loops (_image
+    and _witnesses above); returns how many reads were dense and sparse."""
+    observable = [e for e, ev in enumerate(model.events) if ev.observable]
+    dense = sparse = 0
+    for mask in masks:
+        belief = frozenset(q for q in range(len(model.states)) if mask >> q & 1)
+        read = engine.read(mask)
+        if read[0] is None:
+            sparse += 1
+        else:
+            dense += 1
+        for event in observable:
+            assert engine.successor(read, event) == _mask(_image(model, belief, event))
+        lo_w, hi_w = _witnesses(table, belief)
+        assert engine.witnesses(mask) == (lo_w, hi_w)
+        bounds = min(table.dmin[q] for q in belief), max(table.dmax[q] for q in belief)
+        assert engine.interval((lo_w, hi_w)) == Interval(*bounds)
+    # The one-read memo must not mix up masks: read them again, interleaved.
+    for mask, other in zip(masks, masks[1:] + masks[:1]):
+        engine.read(other)
+        belief = frozenset(q for q in range(len(model.states)) if mask >> q & 1)
+        assert engine.witnesses(mask) == _witnesses(table, belief)
+    return dense, sparse
+
+
+def _table_with_ties(rng, n):
+    """Distances with many ties and INF bounds, dmin <= dmax per state."""
+    dmin = [rng.choice([0, 1, 2, INF]) for _ in range(n)]
+    dmax = [lo if lo == INF else lo + rng.choice([0, 1, 2, INF]) for lo in dmin]
+    return DistanceTable(dmin=tuple(dmin), dmax=tuple(dmax), avoid=frozenset())
+
+
+def test_byte_tables_match_a_member_loop_at_every_width():
+    rng = random.Random(63)
+    events = (Event("a", True), Event("b", True), Event("t", False))
+    seen = {"dense": 0, "sparse": 0, "inf lo": 0, "inf hi": 0}
+    for n in (1, 7, 8, 9, 63, 64, 65, 201):
+        for _ in range(6):
+            # Unvalidated: silent cycles and dead ends are welcome here.
+            transitions = {
+                (rng.randrange(n), rng.randrange(3), rng.randrange(n)) for _ in range(2 * n)
+            }
+            model = DesModel(
+                states=tuple(f"s{q}" for q in range(n)),
+                events=events,
+                transitions=tuple(sorted(transitions)),
+                initial=0,
+                faulty=frozenset(),
+            )
+            table = _table_with_ties(rng, n)
+            top, full = 1 << (n - 1), (1 << n) - 1
+            masks = [top, full, 1, full ^ 1, full ^ top or top]
+            # The bits of the last byte only, which is partial unless 8 divides n.
+            masks.append(full >> (n - 1) // 8 * 8 << (n - 1) // 8 * 8)
+            for _ in range(20):
+                masks.append(rng.randrange(1, full + 1))  # mostly dense
+                masks.append(_mask(rng.sample(range(n), rng.randint(1, max(1, n // 16)))))
+            masks = [mask for mask in masks if mask]
+            engine = _BeliefEngine(model, table)
+            dense, sparse = _check_reads(engine, model, table, masks)
+            seen["dense"] += dense
+            seen["sparse"] += sparse
+            for mask in masks:
+                lo_w, hi_w = engine.witnesses(mask)
+                seen["inf lo"] += table.dmin[lo_w] == INF
+                seen["inf hi"] += table.dmax[hi_w] == INF
+    assert min(seen.values()) > 20, seen
+
+
+def test_byte_tables_match_a_member_loop_on_reachable_beliefs():
+    dense = sparse = 0
+    for _, model in _random_models(64, 120, max_states=40):
+        table = compute_distances(model)
+        order, _ = _subset_construction(model)
+        masks = [_mask(belief) for belief in order]
+        got = _check_reads(_BeliefEngine(model, table), model, table, masks)
+        dense += got[0]
+        sparse += got[1]
+    assert dense > 300 and sparse > 100
+
+
+def test_belief_step_walks_the_model_engine(monkeypatch):
+    # Small enough that the engine flushes, so its node 0 is soon not the start.
+    monkeypatch.setattr(faultcast.belief, "DEFAULT_NODE_CAP", 4)
+    built = []
+    init = _BeliefEngine.__init__
+    monkeypatch.setattr(
+        _BeliefEngine, "__init__", lambda engine, *args: built.append(engine) or init(engine, *args)
+    )
+    for rng, model in _random_models(65, 60, max_states=40):
+        built.clear()
+        table = compute_distances(model)
+        for stream in _looping_streams(model, rng, 2):
+            session = PredictionSession(model)
+            belief = initial_belief(model, table)
+            assert belief == session.belief
+            for k, event in enumerate(stream):
+                belief = belief_step(model, table, belief, event)
+                assert session.feed(event) == belief.interval
+                assert belief == session.belief
+                assert predict_sequence(model, table, stream[: k + 1]) == belief.interval
+        assert built == [model.belief_engine]
