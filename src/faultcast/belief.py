@@ -205,7 +205,8 @@ class _BeliefEngine:
 
 def _engine(model: DesModel, table: DistanceTable) -> _BeliefEngine:
     """The model's shared engine for its own table, else one of its own."""
-    if table is compute_distances(model):
+    # Read the cached table without building it: an unbuilt one is not this table.
+    if table is vars(model).get("distance_table"):
         return model.belief_engine
     return _BeliefEngine(model, table)
 
@@ -295,8 +296,10 @@ def compile_predictor(
     """Expand every belief of the engine, breadth-first.
 
     Raises CapExceededError as soon as a (cap+1)-th distinct belief shows
-    up, reporting how many were explored.
+    up, reporting how many were explored, and ValueError for a cap below 1.
     """
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1: {cap}")
     engine = _BeliefEngine(model, table or compute_distances(model))
     # Each node's witnesses, kept for its BeliefState: a refused compile
     # builds none, and two lists of ints hold less than a list of pairs.

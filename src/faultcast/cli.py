@@ -17,7 +17,7 @@ import sys
 from typing import Sequence
 
 from .belief import DEFAULT_NODE_CAP, BeliefAutomaton, PredictionSession, compile_predictor
-from .desfile import document_to_model, parse_document, parse_model, serialize_model
+from .desfile import parse_model, serialize_model
 from .distances import compute_distances
 from .errors import (
     CapExceededError,
@@ -29,7 +29,7 @@ from .errors import (
 )
 from .families import GENERATORS
 from .intervals import INF, ExtNat, format_extnat, parse_extnat
-from .model import DesModel, fault_closure, validate
+from .model import DesModel, validate
 from .oracle import oracle_dmax, oracle_dmin, oracle_is_ij_predictable
 from .predictability import analyze, is_ij_predictable
 from .twin import build_twin, reachable_edges, witness_observations
@@ -188,9 +188,7 @@ def _ext_json(value: ExtNat) -> object:
 def _cmd_validate(args: argparse.Namespace) -> int:
     with open(args.model, "r", encoding="utf-8") as handle:
         text = handle.read()
-    model = document_to_model(parse_document(text))
-    if args.close_faults:
-        model = fault_closure(model)
+    model = parse_model(text, close_faults=args.close_faults, require_valid=False)
     report = validate(model)
     if report.ok:
         print("ok")

@@ -15,9 +15,9 @@ The first directive must be the exact header `des v1`.  `obs` and
 `hidden` declare events (each event exactly once, any number of lines),
 `init` names the single initial state, `fault` lines accumulate the fault
 set, and each `trans` line adds one transition.  States are declared
-implicitly by use.  Event indices follow declaration order; state indices
-follow first mention.  Serialization writes the same shape back, so
-parse and serialize are mutually inverse.
+implicitly by use.  make_model assigns the indices: events in declaration
+order, states by first mention.  Serialization writes the same shape back,
+so parse and serialize are mutually inverse.
 
 Fault sets are taken literally: a fault set that can be escaped is a
 validation error, not silently repaired.  Pass close_faults=True to
@@ -30,16 +30,9 @@ import re
 from dataclasses import dataclass
 
 from .errors import ModelSyntaxError
-from .model import DesModel, Event, check_valid, fault_closure
+from .model import DesModel, check_valid, fault_closure, make_model
 
 _TOKEN = re.compile(r"\S+")
-
-
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    line: int
-    column: int
 
 
 @dataclass(frozen=True)
@@ -55,23 +48,19 @@ class ModelDocument:
 def parse_document(text: str) -> ModelDocument:
     """Split a file into directives, enforcing only the line grammar."""
     lines = text.splitlines()
-    rows: list[list[_Token]] = []
+    rows: list[list[tuple[str, int, int]]] = []  # (text, line, column) tokens
     for number, raw in enumerate(lines, start=1):
         body = raw.split("#", 1)[0]
-        tokens = [
-            _Token(m.group(), number, m.start() + 1)
-            for m in _TOKEN.finditer(body)
-        ]
+        tokens = [(m.group(), number, m.start() + 1) for m in _TOKEN.finditer(body)]
         if tokens:
             rows.append(tokens)
 
     if not rows:
         raise ModelSyntaxError("empty file, expected the header: des v1", 1)
     head = rows[0]
-    if [t.text for t in head] != ["des", "v1"]:
-        raise ModelSyntaxError(
-            "first directive must be exactly: des v1", head[0].line, head[0].column
-        )
+    if [word for word, _, _ in head] != ["des", "v1"]:
+        _, line, column = head[0]
+        raise ModelSyntaxError("first directive must be exactly: des v1", line, column)
 
     events: list[tuple[str, bool, int, int]] = []
     declared: dict[str, int] = {}
@@ -80,59 +69,46 @@ def parse_document(text: str) -> ModelDocument:
     transitions: list[tuple[str, str, str, int, int]] = []
 
     for row in rows[1:]:
-        keyword, args = row[0], row[1:]
-        if keyword.text in ("obs", "hidden"):
+        (keyword, line, column), args = row[0], row[1:]
+        if keyword in ("obs", "hidden"):
             if not args:
                 raise ModelSyntaxError(
-                    f"{keyword.text} needs at least one event name",
-                    keyword.line,
-                    keyword.column,
+                    f"{keyword} needs at least one event name", line, column
                 )
-            for token in args:
-                if token.text in declared:
+            for name, name_line, name_column in args:
+                if name in declared:
                     raise ModelSyntaxError(
-                        f"event {token.text} already declared on line "
-                        f"{declared[token.text]}",
-                        token.line,
-                        token.column,
+                        f"event {name} already declared on line {declared[name]}",
+                        name_line,
+                        name_column,
                     )
-                declared[token.text] = token.line
-                events.append(
-                    (token.text, keyword.text == "obs", token.line, token.column)
-                )
-        elif keyword.text == "init":
+                declared[name] = name_line
+                events.append((name, keyword == "obs", name_line, name_column))
+        elif keyword == "init":
             if len(args) != 1:
                 raise ModelSyntaxError(
-                    "init takes exactly one state name", keyword.line, keyword.column
+                    "init takes exactly one state name", line, column
                 )
             if initial is not None:
                 raise ModelSyntaxError(
-                    f"init already given on line {initial[1]}",
-                    keyword.line,
-                    keyword.column,
+                    f"init already given on line {initial[1]}", line, column
                 )
-            initial = (args[0].text, args[0].line, args[0].column)
-        elif keyword.text == "fault":
+            initial = args[0]
+        elif keyword == "fault":
             if not args:
                 raise ModelSyntaxError(
-                    "fault needs at least one state name", keyword.line, keyword.column
+                    "fault needs at least one state name", line, column
                 )
-            for token in args:
-                faults.append((token.text, token.line, token.column))
-        elif keyword.text == "trans":
+            faults.extend(args)
+        elif keyword == "trans":
             if len(args) != 3:
                 raise ModelSyntaxError(
-                    "trans takes exactly: source event target",
-                    keyword.line,
-                    keyword.column,
+                    "trans takes exactly: source event target", line, column
                 )
-            transitions.append(
-                (args[0].text, args[1].text, args[2].text, keyword.line, keyword.column)
-            )
+            (src, _, _), (event, _, _), (dst, _, _) = args
+            transitions.append((src, event, dst, line, column))
         else:
-            raise ModelSyntaxError(
-                f"unknown directive: {keyword.text}", keyword.line, keyword.column
-            )
+            raise ModelSyntaxError(f"unknown directive: {keyword}", line, column)
 
     if initial is None:
         raise ModelSyntaxError("missing init directive", len(lines) or 1)
@@ -145,36 +121,20 @@ def parse_document(text: str) -> ModelDocument:
 
 
 def document_to_model(doc: ModelDocument) -> DesModel:
-    """Assign indices: events by declaration, states by first mention."""
-    events = tuple(Event(name, obs) for name, obs, _, _ in doc.events)
-    event_ids = {e.name: i for i, e in enumerate(events)}
+    """Check that every transition's event is declared, then build the model.
 
-    order: list[str] = []
-    ids: dict[str, int] = {}
-
-    def intern(name: str) -> int:
-        if name not in ids:
-            ids[name] = len(order)
-            order.append(name)
-        return ids[name]
-
-    initial = intern(doc.initial[0])
-    faulty = frozenset(intern(name) for name, _, _ in doc.faults)
-    transitions: list[tuple[int, int, int]] = []
-    seen: set[tuple[int, int, int]] = set()
-    for src, ev, dst, line, column in doc.transitions:
-        if ev not in event_ids:
-            raise ModelSyntaxError(f"undeclared event: {ev}", line, column)
-        t = (intern(src), event_ids[ev], intern(dst))
-        if t not in seen:
-            seen.add(t)
-            transitions.append(t)
-    return DesModel(
-        states=tuple(order),
-        events=events,
-        transitions=tuple(transitions),
-        initial=initial,
-        faulty=faulty,
+    make_model assigns the indices; an undeclared event is reported here,
+    at its transition's line and column.
+    """
+    declared = {name for name, _, _, _ in doc.events}
+    for _, event, _, line, column in doc.transitions:
+        if event not in declared:
+            raise ModelSyntaxError(f"undeclared event: {event}", line, column)
+    return make_model(
+        [(name, observable) for name, observable, _, _ in doc.events],
+        [(src, event, dst) for src, event, dst, _, _ in doc.transitions],
+        doc.initial[0],
+        [name for name, _, _ in doc.faults],
     )
 
 

@@ -19,10 +19,11 @@ The three computations:
   by repeatedly deleting non-faulty states whose every non-faulty
   successor has already been deleted; what survives can always take one
   more step outside the fault set.
-* dmax: on states outside both the fault set and the avoid set, the
-  remaining non-faulty-successor graph is acyclic, so one pass in reverse
-  topological order computes the longest weighted stay, with a floor of
-  one because the empty stay already contains one state.
+* dmax: the deleted states, in deletion order, each after all of its
+  non-faulty successors; none of those is in the avoid set, or it would
+  have kept the state from deletion.  One pass along that order computes
+  the longest weighted stay, with a floor of one because the empty stay
+  already contains one state.
 """
 
 from __future__ import annotations
@@ -90,59 +91,46 @@ def compute_dmin(model: DesModel) -> tuple[ExtNat, ...]:
     return tuple(dist)
 
 
-def compute_avoid_set(model: DesModel) -> frozenset[int]:
-    """Non-faulty states from which the fault set can be dodged forever."""
+def _doomed_order(model: DesModel) -> list[int]:
+    """Non-faulty states that cannot avoid the fault set, in deletion order.
+
+    A state is deleted once all of its non-faulty successors have been, so
+    each comes after every one of them.
+    """
     n = len(model.states)
     faulty = model.faulty
     escape_routes = [0] * n
-    feeders: list[list[int]] = [[] for _ in range(n)]
     for src, _, dst in model.transitions:
         if src not in faulty and dst not in faulty:
             escape_routes[src] += 1
-            feeders[dst].append(src)
-    doomed = deque(
-        q for q in range(n) if q not in faulty and escape_routes[q] == 0
-    )
-    eliminated = set(doomed)
-    while doomed:
-        q = doomed.popleft()
-        for src in feeders[q]:
-            if src in eliminated:
-                continue
-            escape_routes[src] -= 1
-            if escape_routes[src] == 0:
-                eliminated.add(src)
-                doomed.append(src)
+    doomed = [q for q in range(n) if q not in faulty and escape_routes[q] == 0]
+    for q in doomed:  # grows as states are deleted
+        for src, _, _ in model.incoming[q]:
+            if src not in faulty:
+                escape_routes[src] -= 1
+                if escape_routes[src] == 0:
+                    doomed.append(src)
+    return doomed
+
+
+def compute_avoid_set(model: DesModel) -> frozenset[int]:
+    """Non-faulty states from which the fault set can be dodged forever."""
+    doomed = set(_doomed_order(model))
     return frozenset(
-        q for q in range(n) if q not in faulty and q not in eliminated
+        q for q in range(len(model.states)) if q not in model.faulty and q not in doomed
     )
 
 
 def compute_dmax(model: DesModel, avoid: frozenset[int]) -> tuple[ExtNat, ...]:
     """Largest stay outside the fault set, per state, as |obs| + 1."""
-    n = len(model.states)
     faulty = model.faulty
-    dmax: list[ExtNat] = [0] * n
+    dmax: list[ExtNat] = [0] * len(model.states)
     for q in avoid:
         dmax[q] = INF
-    core = [q for q in range(n) if q not in faulty and q not in avoid]
-    core_set = set(core)
-
-    pending = [0] * n
-    feeders: list[list[int]] = [[] for _ in range(n)]
-    for src, _, dst in model.transitions:
-        if src in core_set and dst in core_set:
-            pending[src] += 1
-            feeders[dst].append(src)
     observable, silent = model.move_tables
-    ready = deque(q for q in core if pending[q] == 0)
-    done = 0
-    while ready:
-        q = ready.popleft()
-        done += 1
+    for q in _doomed_order(model):
         best = 1
-        # Non-faulty targets are in the core: an avoid-set successor would
-        # have pulled q into the avoid set as well.
+        # Every non-faulty target is doomed too and came earlier in the order.
         for targets in observable[q].values():
             for t in targets:
                 if t not in faulty and dmax[t] >= best:
@@ -151,10 +139,4 @@ def compute_dmax(model: DesModel, avoid: frozenset[int]) -> tuple[ExtNat, ...]:
             if t not in faulty and dmax[t] > best:
                 best = dmax[t]
         dmax[q] = best
-        for src in feeders[q]:
-            pending[src] -= 1
-            if pending[src] == 0:
-                ready.append(src)
-    if done != len(core):
-        raise RuntimeError("cycle outside the avoid set; avoid-set computation is broken")
     return tuple(dmax)

@@ -163,6 +163,15 @@ def test_node_cap_is_enforced(plant):
     assert exc.value.explored == 3
 
 
+def test_node_cap_below_one_is_refused():
+    # One belief, {A}: a cap of 1 holds it, a cap of 0 could hold nothing.
+    model = parse_model("des v1\nobs a\ninit A\ntrans A a A\n")
+    assert len(compile_predictor(model, cap=1).nodes) == 1
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match=f"cap must be at least 1: {cap}"):
+            compile_predictor(model, cap=cap)
+
+
 def test_intervals_shrink_along_every_edge(
     plant, fuse_short, fuse_long, fan2
 ):
@@ -481,6 +490,31 @@ def test_sessions_share_the_model_caches(monkeypatch):
     assert all(x is y for x, y in zip((engine.index, engine.masks, engine.edges), tables))
     assert engine.masks == masks and engine.edges == edges
     assert len(built) == 1
+
+
+def test_another_table_builds_no_model_table(monkeypatch):
+    built = []
+    build = DesModel.distance_table.func
+    monkeypatch.setattr(
+        DesModel.distance_table, "func", lambda model: built.append(build(model)) or built[-1]
+    )
+    model = drifting_plant()
+    n = len(model.states)
+    other = DistanceTable(
+        dmin=tuple(q % 3 for q in range(n)), dmax=tuple(q + 3 for q in range(n)), avoid=frozenset()
+    )
+    events = [model.event_index[name] for name in ["a", "b", "a", "d"]]
+    session = PredictionSession(model, other)
+    belief = initial_belief(model, other)
+    expected = _closure(model, [model.initial])
+    for event in events:
+        session.feed(event)
+        belief = belief_step(model, other, belief, event)
+        expected = _image(model, expected, event)
+        _assert_tracks(session, other, expected)
+        assert belief == session.belief
+    assert predict_sequence(model, other, events) == session.interval
+    assert built == [] and "distance_table" not in vars(model)
 
 
 def test_compile_ignores_session_state(monkeypatch, capsys, tmp_path):

@@ -326,6 +326,17 @@ def test_compile_cap_exits_2(capsys, plant_file):
     assert "cap" in err
 
 
+def test_compile_cap_below_one_exits_2(capsys, tmp_path):
+    path = tmp_path / "loop.des"
+    path.write_text("des v1\nobs a\ninit A\ntrans A a A\n")
+    for cap in ("0", "-1"):
+        code, out, err = run_cli(capsys, "compile", "--cap", cap, str(path))
+        assert (code, out) == (2, "")
+        assert err == f"faultcast: error: cap must be at least 1: {cap}\n"
+    code, out, _ = run_cli(capsys, "compile", "--cap", "1", str(path))
+    assert (code, out) == (0, "nodes 1\nedges 1\n")
+
+
 def test_compile_json_export(capsys, tmp_path, plant_file):
     out_path = tmp_path / "predictor.json"
     code, out, _ = run_cli(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -174,6 +175,58 @@ def test_distances_agree_with_oracle_on_random_models():
         assert list(table.dmin) == oracle_dmin(model)
         assert list(table.dmax) == oracle_dmax(model)
         assert table.avoid == oracle_avoid_set(model)
+
+
+def _unvalidated_model(rng):
+    # What --no-validate lets through: any out-degree, none included, fault
+    # states that lead back out, and silent moves anywhere, cycles too.
+    states = [f"q{k}" for k in range(rng.randint(1, 9))]
+    events = [("a", True), ("b", rng.random() < 0.5), ("t", False)]
+    faulty = [q for q in states[1:] if rng.random() < 0.3]
+    transitions = [
+        (q, rng.choice("abt"), rng.choice(states))
+        for q in states
+        for _ in range(rng.randint(0, 3))
+    ]
+    return make_model(events, transitions, "q0", faulty, states)
+
+
+def _invalid_kinds(model):
+    silent = {q: set() for q in range(len(model.states))}
+    for src, ev, dst in model.transitions:
+        if not model.events[ev].observable:
+            silent[src].add(dst)
+    kinds = set()
+    if not model.transitions:
+        kinds.add("no transitions")
+    if len({src for src, _, _ in model.transitions}) < len(model.states):
+        kinds.add("dead end")
+    faulty = model.faulty
+    if any(src in faulty and dst not in faulty for src, _, dst in model.transitions):
+        kinds.add("fault escape")
+    for q in silent:
+        seen, stack = set(), list(silent[q])
+        while stack:
+            t = stack.pop()
+            if t not in seen:
+                seen.add(t)
+                stack.extend(silent[t])
+        if q in seen:
+            kinds.add("silent cycle")
+    return kinds
+
+
+def test_distances_agree_with_oracle_on_unvalidated_models():
+    rng = random.Random(35)
+    kinds = Counter()
+    for _ in range(1500):
+        model = _unvalidated_model(rng)
+        avoid = compute_avoid_set(model)
+        assert avoid == oracle_avoid_set(model)
+        assert list(compute_dmin(model)) == oracle_dmin(model)
+        assert list(compute_dmax(model, avoid)) == oracle_dmax(model)
+        kinds.update(_invalid_kinds(model))
+    assert set(kinds) == {"no transitions", "dead end", "fault escape", "silent cycle"}
 
 
 def test_dmin_infinite_iff_fault_unreachable():
