@@ -1,13 +1,14 @@
 """Fault predictability analysis for partially observable discrete event systems.
 
-The package answers three related questions about a finite-state model
+The package answers four related questions about a finite-state model
 with observable and unobservable events and a set of faulty states:
 
 * how many observations separate each state from the fault set
   (`compute_distances`),
 * whether a monitor seeing only observable events can always raise an
   alarm i observations early with a promise of at most j more
-  (`analyze`, `is_ij_predictable`, `compute_frontier`),
+  (`analyze`, `is_ij_predictable`),
+* for each lead time i, the tightest such promise (`compute_frontier`),
 * and what the best honest prediction is while observations stream in
   (`PredictionSession`, `compile_predictor`).
 

@@ -18,10 +18,11 @@ left, and the last read is kept.  A dense mask, with at least one member
 per byte on average, is read in at most ceil(n/8) lookups of memoized
 byte entries (the method of four Russians), which give its successor on
 every observable event, its interval and its witnesses without decoding
-it.  A sparse mask is read by one pass over its members.  Sessions on a
-model share the one engine it keeps, which starts new tables at
-DEFAULT_NODE_CAP beliefs; compile_predictor expands an engine of its
-own, reads each belief once, and refuses past its cap.
+it.  A sparse mask is read by one pass over its members.  Every interval
+comes from the model's own distance table.  Sessions, belief_step and
+predict_sequence share the one engine a model keeps, which starts new
+tables at DEFAULT_NODE_CAP beliefs; compile_predictor expands an engine
+of its own, reads each belief once, and refuses past its cap.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from itertools import compress
 from operator import itemgetter, or_
 from typing import Mapping, Sequence, Union
 
-from .distances import DistanceTable, compute_distances
+from .distances import DistanceTable
 from .errors import CapExceededError, ImpossibleObservationError
 from .intervals import Interval
 from .model import DesModel, unobservable_closure
@@ -203,38 +204,26 @@ class _BeliefEngine:
         return BeliefState(frozenset(_members(mask)), interval, self.witnesses(mask))
 
 
-def _engine(model: DesModel, table: DistanceTable) -> _BeliefEngine:
-    """The model's shared engine for its own table, else one of its own."""
-    # Read the cached table without building it: an unbuilt one is not this table.
-    if table is vars(model).get("distance_table"):
-        return model.belief_engine
-    return _BeliefEngine(model, table)
-
-
-def initial_belief(model: DesModel, table: DistanceTable) -> BeliefState:
+def initial_belief(model: DesModel) -> BeliefState:
     """The belief before any observation: the initial state's closure."""
-    return PredictionSession(model, table).belief
+    return PredictionSession(model).belief
 
 
-def belief_step(
-    model: DesModel, table: DistanceTable, belief: BeliefState, event: int
-) -> BeliefState:
+def belief_step(model: DesModel, belief: BeliefState, event: int) -> BeliefState:
     """Advance a belief by one observed event.
 
     Raises ImpossibleObservationError when the event is unknown or
     unobservable or no member can take it, since then no run of the model
     produces this observation.
     """
-    engine = _engine(model, table)
+    engine = model.belief_engine
     node = engine.step(engine.node(sum(1 << q for q in belief.members)), event)
     return engine.belief(engine.masks[node], engine.intervals[node])
 
 
-def predict_sequence(
-    model: DesModel, table: DistanceTable, events: Sequence[int]
-) -> Interval:
+def predict_sequence(model: DesModel, events: Sequence[int]) -> Interval:
     """The interval announced after observing the whole sequence."""
-    engine = _engine(model, table)
+    engine = model.belief_engine
     # Step first: a flush on the way replaces engine.intervals.
     node = reduce(engine.step, events, engine.node(engine.start))
     return engine.intervals[node]
@@ -245,15 +234,14 @@ class PredictionSession:
 
     Events may be given by index or by name.  The current belief and its
     interval are available between feeds; a rejected event leaves them
-    unchanged.  Sessions handed no table, or the model's own, share it and
-    the model's belief engine, so feed them from one thread at a time; a
-    session handed another table has an engine of its own.
+    unchanged.  The sessions on one model share its distance table and
+    belief engine, so feed them from one thread at a time.
     """
 
-    def __init__(self, model: DesModel, table: DistanceTable | None = None):
+    def __init__(self, model: DesModel):
         self.model = model
-        self.table = compute_distances(model) if table is None else table
-        self._engine = _engine(model, self.table)
+        self._engine = model.belief_engine
+        self.table: DistanceTable = self._engine.table
         self._node = self._engine.node(self._engine.start)
         self._masks = self._engine.masks  # the tables that self._node indexes
         self.interval: Interval = self._engine.intervals[self._node]
@@ -288,11 +276,7 @@ class BeliefAutomaton:
         return self.edges.get((node, event))
 
 
-def compile_predictor(
-    model: DesModel,
-    table: DistanceTable | None = None,
-    cap: int = DEFAULT_NODE_CAP,
-) -> BeliefAutomaton:
+def compile_predictor(model: DesModel, cap: int = DEFAULT_NODE_CAP) -> BeliefAutomaton:
     """Expand every belief of the engine, breadth-first.
 
     Raises CapExceededError as soon as a (cap+1)-th distinct belief shows
@@ -300,7 +284,7 @@ def compile_predictor(
     """
     if cap < 1:
         raise ValueError(f"cap must be at least 1: {cap}")
-    engine = _BeliefEngine(model, table or compute_distances(model))
+    engine = _BeliefEngine(model, model.distance_table)
     # Each node's witnesses, kept for its BeliefState: a refused compile
     # builds none, and two lists of ints hold less than a list of pairs.
     lows, highs = [], []

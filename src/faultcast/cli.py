@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("validate", help="check the structural invariants")
     sub.add_argument("model")
     sub.add_argument("--close-faults", action="store_true")
-    sub.set_defaults(func=_cmd_validate)
+    sub.set_defaults(func=_cmd_validate, no_validate=True)
 
     sub = commands.add_parser("distances", help="per-state fault distances")
     with_model(sub)
@@ -161,12 +161,11 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _load(args: argparse.Namespace) -> DesModel:
-    with open(args.model, "r", encoding="utf-8") as handle:
+    # utf-8-sig drops a byte-order mark that some editors write.
+    with open(args.model, "r", encoding="utf-8-sig") as handle:
         text = handle.read()
     return parse_model(
-        text,
-        close_faults=getattr(args, "close_faults", False),
-        require_valid=not getattr(args, "no_validate", False),
+        text, close_faults=args.close_faults, require_valid=not args.no_validate
     )
 
 
@@ -186,10 +185,7 @@ def _ext_json(value: ExtNat) -> object:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    with open(args.model, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    model = parse_model(text, close_faults=args.close_faults, require_valid=False)
-    report = validate(model)
+    report = validate(_load(args))
     if report.ok:
         print("ok")
         return 0
@@ -201,45 +197,32 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_distances(args: argparse.Namespace) -> int:
     model = _load(args)
     table = compute_distances(model)
-    rows = [
-        (model.states[q], table.dmin[q], table.dmax[q])
-        for q in range(len(model.states))
-    ]
-    if not args.oracle:
-        _emit_distances(args.format, rows, None, None)
-        return 0
-    oracle_rows = [
-        (model.states[q], dmin, dmax)
-        for q, (dmin, dmax) in enumerate(zip(oracle_dmin(model), oracle_dmax(model)))
-    ]
-    match = rows == oracle_rows
-    _emit_distances(args.format, rows, oracle_rows, match)
-    return 0 if match else 2
-
-
-def _emit_distances(fmt, rows, oracle_rows, match) -> None:
-    if fmt == "json":
-        payload = {
-            "states": [
+    tables = {"states": (table.dmin, table.dmax)}
+    if args.oracle:
+        tables["oracle"] = (oracle_dmin(model), oracle_dmax(model))
+    # Per table, in print order, one (name, dmin, dmax) row per state.
+    rows = {key: list(zip(model.states, dmin, dmax)) for key, (dmin, dmax) in tables.items()}
+    match = not args.oracle or rows["states"] == rows["oracle"]
+    if args.format == "json":
+        payload: dict = {
+            key: [
                 {"name": name, "dmin": _ext_json(dmin), "dmax": _ext_json(dmax)}
-                for name, dmin, dmax in rows
+                for name, dmin, dmax in table_rows
             ]
+            for key, table_rows in rows.items()
         }
-        if oracle_rows is not None:
-            payload["oracle"] = [
-                {"name": name, "dmin": _ext_json(dmin), "dmax": _ext_json(dmax)}
-                for name, dmin, dmax in oracle_rows
-            ]
+        if args.oracle:
             payload["match"] = match
         print(json.dumps(payload, indent=2))
-        return
-    for name, dmin, dmax in rows:
-        print(f"{name}\t{format_extnat(dmin)}\t{format_extnat(dmax)}")
-    if oracle_rows is not None:
-        print("# oracle")
-        for name, dmin, dmax in oracle_rows:
+        return 0 if match else 2
+    for key, table_rows in rows.items():
+        if key == "oracle":
+            print("# oracle")
+        for name, dmin, dmax in table_rows:
             print(f"{name}\t{format_extnat(dmin)}\t{format_extnat(dmax)}")
+    if args.oracle:
         print("MATCH" if match else "MISMATCH")
+    return 0 if match else 2
 
 
 def _cmd_twin(args: argparse.Namespace) -> int:

@@ -36,13 +36,12 @@ def format_extnat(value: ExtNat) -> str:
 
 
 def parse_extnat(text: str) -> ExtNat:
-    """Inverse of format_extnat; raises ValueError on anything else."""
+    """Inverse of format_extnat: exactly "inf" or ASCII decimal digits, else ValueError."""
     if text == "inf":
         return INF
-    value = int(text)
-    if value < 0:
-        raise ValueError(f"negative bound: {text}")
-    return value
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a natural number or inf: {text!r}")
+    return int(text)
 
 
 @dataclass(frozen=True)

@@ -146,7 +146,8 @@ class DesModel:
 
     @cached_property
     def belief_engine(self):
-        """The belief engine shared by the model's PredictionSessions."""
+        """The belief engine shared by the model's PredictionSessions,
+        belief_step and predict_sequence."""
         from .belief import _BeliefEngine  # which imports this module
         return _BeliefEngine(self, self.distance_table)
 

@@ -248,7 +248,7 @@ def _check_witness_attainment(model) -> int:
     table = compute_distances(model)
     twin = build_twin(model)
     violations = 0
-    for node in compile_predictor(model, table).nodes:
+    for node in compile_predictor(model).nodes:
         lo_w, hi_w = node.witnesses
         hull = Interval(table.dmin[lo_w], table.dmax[hi_w])
         pair = (min(lo_w, hi_w), max(lo_w, hi_w))
@@ -258,14 +258,13 @@ def _check_witness_attainment(model) -> int:
 
 
 def _check_run_soundness(model, rng, runs: int, length: int) -> int:
-    table = compute_distances(model)
     violations = 0
     for _ in range(runs):
         states, events = sample_run(model, rng, length)
         intervals = []
         at_count = [[states[0]]]
         post_obs = [states[0]]
-        session = PredictionSession(model, table)
+        session = PredictionSession(model)
         intervals.append(session.interval)
         for event, state in zip(events, states[1:]):
             if model.events[event].observable:

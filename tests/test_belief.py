@@ -44,7 +44,7 @@ def _member_names(model, belief):
 
 def test_plant_initial_belief(plant):
     table = compute_distances(plant)
-    belief = initial_belief(plant, table)
+    belief = initial_belief(plant)
     assert _member_names(plant, belief) == {"A", "C"}
     assert belief.interval == Interval(3, INF)
     lo_w, hi_w = belief.witnesses
@@ -54,8 +54,7 @@ def test_plant_initial_belief(plant):
 
 
 def test_plant_belief_chain(plant):
-    table = compute_distances(plant)
-    belief = initial_belief(plant, table)
+    belief = initial_belief(plant)
     expectations = [
         ("a", {"B", "D"}, Interval(2, INF)),
         ("d", {"E", "F"}, Interval(1, 2)),
@@ -63,25 +62,23 @@ def test_plant_belief_chain(plant):
         ("a", {"G"}, Interval(0, 0)),
     ]
     for name, members, interval in expectations:
-        belief = belief_step(plant, table, belief, plant.event_index[name])
+        belief = belief_step(plant, belief, plant.event_index[name])
         assert _member_names(plant, belief) == members
         assert belief.interval == interval
 
 
 def test_predict_sequence_equals_session_feeds(plant):
-    table = compute_distances(plant)
     stream = ["a", "d", "c", "a"]
-    session = PredictionSession(plant, table)
+    session = PredictionSession(plant)
     intervals = [session.feed(name) for name in stream]
     for cut in range(len(stream) + 1):
         events = [plant.event_index[n] for n in stream[:cut]]
-        expected = intervals[cut - 1] if cut else initial_belief(plant, table).interval
-        assert predict_sequence(plant, table, events) == expected
+        expected = intervals[cut - 1] if cut else initial_belief(plant).interval
+        assert predict_sequence(plant, events) == expected
 
 
 def test_short_fuse_beliefs(fuse_short):
-    table = compute_distances(fuse_short)
-    session = PredictionSession(fuse_short, table)
+    session = PredictionSession(fuse_short)
     assert _member_names(fuse_short, session.belief) == {"S0"}
     assert session.interval == Interval(2, INF)
     assert session.feed("b") == Interval(2, INF)
@@ -90,15 +87,14 @@ def test_short_fuse_beliefs(fuse_short):
 
 
 def test_impossible_observations(plant):
-    table = compute_distances(plant)
-    belief = initial_belief(plant, table)
+    belief = initial_belief(plant)
     # Unobservable events never appear in an observation stream.
     with pytest.raises(ImpossibleObservationError):
-        belief_step(plant, table, belief, plant.event_index["t"])
+        belief_step(plant, belief, plant.event_index["t"])
     # No member of {A, C} can take b.
     with pytest.raises(ImpossibleObservationError):
-        belief_step(plant, table, belief, plant.event_index["b"])
-    session = PredictionSession(plant, table)
+        belief_step(plant, belief, plant.event_index["b"])
+    session = PredictionSession(plant)
     with pytest.raises(ImpossibleObservationError):
         session.feed("nope")
 
@@ -144,9 +140,8 @@ def test_fan_compiled_predictor(fan2):
 
 
 def test_automaton_walk_matches_stepwise_tracking(plant):
-    table = compute_distances(plant)
-    automaton = compile_predictor(plant, table)
-    session = PredictionSession(plant, table)
+    automaton = compile_predictor(plant)
+    session = PredictionSession(plant)
     node = automaton.initial
     for name in ["a", "b", "a", "d", "c", "a", "a"]:
         event = plant.event_index[name]
@@ -194,7 +189,7 @@ def test_every_belief_interval_is_a_witness_pair_hull(
     for model in (plant, fuse_short, fuse_long, fan2):
         table = compute_distances(model)
         twin = build_twin(model)
-        for node in compile_predictor(model, table).nodes:
+        for node in compile_predictor(model).nodes:
             lo_w, hi_w = node.witnesses
             assert Interval(table.dmin[lo_w], table.dmax[hi_w]) == node.interval
             pair = (min(lo_w, hi_w), max(lo_w, hi_w))
@@ -205,9 +200,8 @@ def test_random_runs_stay_inside_tracked_beliefs():
     rng = random.Random(77)
     for _ in range(40):
         model = random_live_model(rng, OracleConfig())
-        table = compute_distances(model)
         states, events = _observable_walk(model, rng, 12)
-        session = PredictionSession(model, table)
+        session = PredictionSession(model)
         assert states[0] in session.belief.members
         for state, event in zip(states[1:], events):
             session.feed(event)
@@ -271,7 +265,6 @@ def test_tracked_intervals_never_exceed_the_coarse_rule(plant):
 def test_every_faulty_run_passes_a_tight_prefix(plant):
     # Before the fault arrives, some prefix already announced an interval
     # inside (1, 2): one observation of warning, at most two of waiting.
-    table = compute_distances(plant)
     rng = random.Random(404)
     target = Interval(1, 2)
     faulty_runs = 0
@@ -280,7 +273,7 @@ def test_every_faulty_run_passes_a_tight_prefix(plant):
         if states[-1] not in plant.faulty:
             continue
         faulty_runs += 1
-        session = PredictionSession(plant, table)
+        session = PredictionSession(plant)
         seen = [session.interval]
         for event in events:
             if plant.events[event].observable:
@@ -348,7 +341,7 @@ def _random_models(seed, count, max_states=10):
 def test_compiled_predictor_equals_subset_construction():
     for _, model in _random_models(31, 300):
         table = compute_distances(model)
-        automaton = compile_predictor(model, table)
+        automaton = compile_predictor(model)
         order, edges = _subset_construction(model)
         assert [node.members for node in automaton.nodes] == oracle_beliefs(model)
         assert [node.members for node in automaton.nodes] == order
@@ -384,7 +377,7 @@ def _check_sessions(seed, count, cap):
     for rng, model in _random_models(seed, count, max_states=40):
         table = compute_distances(model)
         for stream in _looping_streams(model, rng, 3):
-            session = PredictionSession(model, table)
+            session = PredictionSession(model)
             engine = session._engine
             belief = _closure(model, [model.initial])
             for event in stream:
@@ -472,50 +465,6 @@ def test_sessions_share_the_model_caches(monkeypatch):
     # The first feed found the edge; the other nine were dict hits.
     assert len(engine.masks) == 2 and len(engine.edges) == 1
 
-    # Another table with other numbers gets an engine of its own.
-    n = len(model.states)
-    other = DistanceTable(
-        dmin=tuple(q % 3 for q in range(n)), dmax=tuple(q + 3 for q in range(n)), avoid=frozenset()
-    )
-    masks, edges = list(engine.masks), dict(engine.edges)
-    tables = engine.index, engine.masks, engine.edges
-    session = PredictionSession(model, other)
-    assert session.table is other and session._engine is not engine
-    belief = _closure(model, [model.initial])
-    _assert_tracks(session, other, belief)
-    for name in ["a", "b", "a", "d", "c"]:
-        belief = _image(model, belief, model.event_index[name])
-        session.feed(name)
-        _assert_tracks(session, other, belief)
-    assert all(x is y for x, y in zip((engine.index, engine.masks, engine.edges), tables))
-    assert engine.masks == masks and engine.edges == edges
-    assert len(built) == 1
-
-
-def test_another_table_builds_no_model_table(monkeypatch):
-    built = []
-    build = DesModel.distance_table.func
-    monkeypatch.setattr(
-        DesModel.distance_table, "func", lambda model: built.append(build(model)) or built[-1]
-    )
-    model = drifting_plant()
-    n = len(model.states)
-    other = DistanceTable(
-        dmin=tuple(q % 3 for q in range(n)), dmax=tuple(q + 3 for q in range(n)), avoid=frozenset()
-    )
-    events = [model.event_index[name] for name in ["a", "b", "a", "d"]]
-    session = PredictionSession(model, other)
-    belief = initial_belief(model, other)
-    expected = _closure(model, [model.initial])
-    for event in events:
-        session.feed(event)
-        belief = belief_step(model, other, belief, event)
-        expected = _image(model, expected, event)
-        _assert_tracks(session, other, expected)
-        assert belief == session.belief
-    assert predict_sequence(model, other, events) == session.interval
-    assert built == [] and "distance_table" not in vars(model)
-
 
 def test_compile_ignores_session_state(monkeypatch, capsys, tmp_path):
     # Small enough that the sessions flush the model's engine, too.
@@ -542,7 +491,7 @@ def test_compile_ignores_session_state(monkeypatch, capsys, tmp_path):
 
 
 def test_rejected_events_leave_the_session_unchanged(plant):
-    session = PredictionSession(plant, compute_distances(plant))
+    session = PredictionSession(plant)
     session.feed("a")
     belief, interval = session.belief, session.interval
     # Unobservable, unknown by name, unknown by index, impossible at {B, D}.
@@ -653,14 +602,13 @@ def test_belief_step_walks_the_model_engine(monkeypatch):
     )
     for rng, model in _random_models(65, 60, max_states=40):
         built.clear()
-        table = compute_distances(model)
         for stream in _looping_streams(model, rng, 2):
             session = PredictionSession(model)
-            belief = initial_belief(model, table)
+            belief = initial_belief(model)
             assert belief == session.belief
             for k, event in enumerate(stream):
-                belief = belief_step(model, table, belief, event)
+                belief = belief_step(model, belief, event)
                 assert session.feed(event) == belief.interval
                 assert belief == session.belief
-                assert predict_sequence(model, table, stream[: k + 1]) == belief.interval
+                assert predict_sequence(model, stream[: k + 1]) == belief.interval
         assert built == [model.belief_engine]

@@ -62,6 +62,43 @@ def test_validate_close_faults(capsys, broken_file):
     assert out.strip() == "ok"
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        (
+            "des v1\nobs a\ninit A\ntrans A a B\n",
+            "error liveness: state B has no outgoing transition",
+        ),
+        (
+            "des v1\nobs a\ninit A\nfault B\ntrans A a B\ntrans B a A\n",
+            "error fault-closure: transition B -a-> A leaves the fault set",
+        ),
+        (
+            "des v1\nobs a\ninit A\nfault A\ntrans A a A\n",
+            "error initial-faulty: initial state A is faulty",
+        ),
+        (
+            "des v1\nobs a\nhidden t\ninit A\ntrans A t B\ntrans B t A\ntrans A a A\n",
+            "error observation-liveness: cycle A -> B -> A uses only unobservable events",
+        ),
+    ],
+    ids=["liveness", "fault-closure", "initial-faulty", "observation-liveness"],
+)
+def test_validate_finding_messages(capsys, tmp_path, text, line):
+    path = tmp_path / "model.des"
+    path.write_text(text)
+    assert run_cli(capsys, "validate", str(path)) == (2, line + "\n", "")
+
+
+def test_byte_order_mark_is_skipped(capsys, tmp_path, plant_file):
+    path = tmp_path / "bom.des"
+    path.write_bytes(b"\xef\xbb\xbf" + Path(plant_file).read_bytes())
+    assert run_cli(capsys, "validate", str(path)) == (0, "ok\n", "")
+    for fmt in ("tsv", "json"):
+        plain = run_cli(capsys, "distances", "--format", fmt, plant_file)
+        assert run_cli(capsys, "distances", "--format", fmt, str(path)) == plain
+
+
 def test_syntax_error_exits_2_with_location(capsys, tmp_path):
     path = tmp_path / "bad.des"
     path.write_text("des v2\n")
@@ -111,6 +148,19 @@ def test_distances_json(capsys, plant_file):
     by_name = {row["name"]: row for row in payload["states"]}
     assert by_name["E"] == {"name": "E", "dmin": 2, "dmax": 2}
     assert by_name["A"] == {"name": "A", "dmin": 3, "dmax": "inf"}
+
+
+def test_distances_oracle_json(capsys, plant_file):
+    code, out, _ = run_cli(capsys, "distances", "--oracle", "--format", "json", plant_file)
+    assert code == 0
+    rows = [
+        {"name": name, "dmin": dmin, "dmax": dmax}
+        for name, dmin, dmax in [
+            ("A", 3, "inf"), ("G", 0, 0), ("B", 3, "inf"), ("C", 3, "inf"),
+            ("D", 2, "inf"), ("E", 2, 2), ("F", 1, 1),
+        ]
+    ]
+    assert out == json.dumps({"states": rows, "oracle": rows, "match": True}, indent=2) + "\n"
 
 
 # -- twin ---------------------------------------------------------------------
@@ -279,6 +329,9 @@ def test_query_usage_errors_exit_3(capsys, plant_file):
     assert code == 3
     code, _, _ = run_cli(capsys, "query", plant_file, "-i", "1", "-j", "soon")
     assert code == 3
+    code, _, err = run_cli(capsys, "query", plant_file, "-i", "1", "-j", "+2")
+    assert code == 3
+    assert "expected a natural number or inf, got '+2'" in err
 
 
 # -- predict ------------------------------------------------------------------

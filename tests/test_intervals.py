@@ -68,10 +68,9 @@ def test_extnat_formatting_round_trip():
     assert format_extnat(7) == "7"
     assert parse_extnat("inf") == INF
     assert parse_extnat("12") == 12
-    with pytest.raises(ValueError):
-        parse_extnat("-3")
-    with pytest.raises(ValueError):
-        parse_extnat("x")
+    for text in ["-3", "x", "+3", " 3", "3 ", "1_000", "\u0663", "", "Inf", "3.0"]:
+        with pytest.raises(ValueError):
+            parse_extnat(text)
 
 
 @given(intervals(), intervals())

@@ -287,16 +287,15 @@ def test_move_tables_expand_back_to_the_transitions():
 
 def test_run_endpoints_always_inside_observation_belief():
     # Endpoint of any trace is possible given the trace's observation.
-    from faultcast import compute_distances, initial_belief, belief_step
+    from faultcast import initial_belief, belief_step
 
     rng = random.Random(99)
     for _ in range(40):
         model = random_live_model(rng, OracleConfig())
-        table = compute_distances(model)
         states, events = sample_run(model, rng, 15)
-        belief = initial_belief(model, table)
+        belief = initial_belief(model)
         assert states[0] in belief.members
         for k, event in enumerate(events):
             if model.events[event].observable:
-                belief = belief_step(model, table, belief, event)
+                belief = belief_step(model, belief, event)
             assert states[k + 1] in belief.members
