@@ -23,7 +23,6 @@ from .errors import (
     CapExceededError,
     FaultcastError,
     ImpossibleObservationError,
-    InvalidIntervalError,
     InvalidModelError,
     ModelSyntaxError,
 )
@@ -47,9 +46,14 @@ def _extnat_arg(text: str) -> ExtNat:
     try:
         return parse_extnat(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a natural number or inf, got {text!r}"
-        ) from None
+        raise argparse.ArgumentTypeError(f"expected a natural number or inf, got {text!r}") from None
+
+
+def _nat_arg(text: str) -> int:
+    # parse_extnat's rule without inf: ASCII digits only, so no sign, space or "_".
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a natural number, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("query", help="decide one (i, j) query")
     with_model(sub)
-    sub.add_argument("-i", type=int, required=True, help="lead time (observations)")
+    sub.add_argument("-i", type=_nat_arg, required=True, help="lead time (observations)")
     sub.add_argument(
         "-j", type=_extnat_arg, required=True, help="promise bound (natural or inf)"
     )
@@ -127,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("gen", help="write a built-in model family")
     sub.add_argument("family", choices=sorted(GENERATORS))
-    sub.add_argument("-n", type=int, required=True, help="family size parameter")
+    sub.add_argument("-n", type=_nat_arg, required=True, help="family size parameter")
     sub.add_argument("-o", metavar="FILE", help="output file (default stdout)")
     sub.set_defaults(func=_cmd_gen)
 
@@ -282,8 +286,6 @@ def _cmd_predictability(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    if args.i < 0:
-        raise InvalidIntervalError(f"lead time must be a natural: {args.i}")
     model = _load(args)
     frontier = analyze(model, witnesses=args.witness or args.format == "json").frontier
     verdict = is_ij_predictable(frontier, args.i, args.j)

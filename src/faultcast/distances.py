@@ -54,11 +54,12 @@ def compute_distances(model: DesModel) -> DistanceTable:
 
 
 def build_distances(model: DesModel) -> DistanceTable:
-    """Bundle dmin, the avoid set, and dmax for a model."""
-    avoid = compute_avoid_set(model)
+    """Bundle dmin, the avoid set, and dmax for a model, from one deletion pass."""
+    doomed = _doomed_order(model)
+    avoid = frozenset(range(len(model.states))).difference(model.faulty, doomed)
     return DistanceTable(
         dmin=compute_dmin(model),
-        dmax=compute_dmax(model, avoid),
+        dmax=_fold_dmax(model, avoid, doomed),
         avoid=avoid,
     )
 
@@ -115,20 +116,21 @@ def _doomed_order(model: DesModel) -> list[int]:
 
 def compute_avoid_set(model: DesModel) -> frozenset[int]:
     """Non-faulty states from which the fault set can be dodged forever."""
-    doomed = set(_doomed_order(model))
-    return frozenset(
-        q for q in range(len(model.states)) if q not in model.faulty and q not in doomed
-    )
+    return frozenset(range(len(model.states))).difference(model.faulty, _doomed_order(model))
 
 
 def compute_dmax(model: DesModel, avoid: frozenset[int]) -> tuple[ExtNat, ...]:
     """Largest stay outside the fault set, per state, as |obs| + 1."""
+    return _fold_dmax(model, avoid, _doomed_order(model))
+
+
+def _fold_dmax(model: DesModel, avoid: frozenset[int], doomed: list[int]) -> tuple[ExtNat, ...]:
     faulty = model.faulty
     dmax: list[ExtNat] = [0] * len(model.states)
     for q in avoid:
         dmax[q] = INF
     observable, silent = model.move_tables
-    for q in _doomed_order(model):
+    for q in doomed:
         best = 1
         # Every non-faulty target is doomed too and came earlier in the order.
         for targets in observable[q].values():

@@ -71,14 +71,15 @@ def compute_frontier(
 
     Pair hulls with an infinite lower bound cannot block any query (a
     query's lead time is finite) and are dropped.  Hulls are deduplicated
-    by interval, keeping the first pair in canonical index order, and
-    listed by descending lower bound (ties by ascending upper bound), the
-    order in which a refusal looks for its blocking hull.
+    by interval, keeping the least pair code, the first pair in canonical
+    order, and listed by descending lower bound (ties by ascending upper
+    bound), the order in which a refusal looks for its blocking hull.
     """
     dmin, dmax = table.dmin, table.dmax
-    first: dict[tuple[ExtNat, ExtNat], Pair] = {}
-    for pair in twin.pairs:
-        q1, q2 = pair
+    n = twin.size
+    first: dict[tuple[ExtNat, ExtNat], int] = {}
+    for code in twin.codes:
+        q1, q2 = divmod(code, n)
         lo, other = dmin[q1], dmin[q2]
         if other < lo:
             lo = other
@@ -88,8 +89,8 @@ def compute_frontier(
         if other > hi:
             hi = other
         best = first.get((lo, hi))
-        if best is None or pair < best:
-            first[(lo, hi)] = pair
+        if best is None or code < best:
+            first[(lo, hi)] = code
 
     dmin_init = table.dmin[model.initial]
     vacuous = dmin_init == INF
@@ -97,7 +98,7 @@ def compute_frontier(
     rows: list[list[HullEntry]] = [[] for _ in range(limit + 1)]
     hulls = []
     for lo, hi in sorted(first, key=lambda hull: (-hull[0], hull[1])):
-        pair = first[(lo, hi)]
+        pair = divmod(first[(lo, hi)], n)
         witness: tuple[int, ...] | None = None
         if twin.parents is not None:
             witness = tuple(witness_observations(twin, pair))

@@ -3,11 +3,12 @@
 Two states are related when some observation sequence leaves both of them
 possible.  The search explores pairs: from (q1, q2), observable events
 advance both components on the same event, while an unobservable event
-advances one component and leaves the other in place.  Pairs are stored
-unordered as (min, max); the relation is reflexive on reachable states and
-symmetric but not transitive.
+advances one component and leaves the other in place.  The relation is
+reflexive on reachable states and symmetric but not transitive.
 
-The search codes a pair as the int q1 * n + q2 and runs breadth-first by
+The relation is held as pair codes: the unordered pair q1 <= q2 is the int
+q1 * n + q2, so code order is canonical pair order, and (min, max) tuples
+are built only when first read.  The search runs breadth-first by
 observation count.  Layer k, the pairs first reached with k observations,
 is first closed under silent moves by a stack worklist; then the
 observable moves of its pairs, in visiting order, seed layer k + 1.  A
@@ -22,6 +23,7 @@ there the search is linear in the reachable states and their moves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Mapping, Optional
 
 from .errors import NoWitnessError
@@ -36,28 +38,37 @@ ParentLink = tuple[int, Optional[int]]
 
 @dataclass(frozen=True)
 class TwinReachability:
-    """The confusable-pair relation of one model.
+    """The confusable-pair relation of one model, held as pair codes.
 
-    parents, when recorded, is keyed by pair code q1 * size + q2.
+    codes maps each pair code q1 * size + q2, q1 <= q2, to its parent link,
+    or to None when links were not recorded; parents is codes when they were.
     """
 
-    pairs: frozenset[Pair]
+    codes: Mapping[int, ParentLink | None]
     size: int
     parents: Mapping[int, ParentLink | None] | None
+
+    @cached_property
+    def pairs(self) -> frozenset[Pair]:
+        """The pairs as (min, max) tuples, built on first use."""
+        # The tuples share one int per state; fresh ints nearly double the memory.
+        n, states = self.size, tuple(range(self.size))
+        return frozenset((states[code // n], states[code % n]) for code in self.codes)
 
     @property
     def pair_count(self) -> int:
         """Number of unordered pairs (diagonal included)."""
-        return len(self.pairs)
+        return len(self.codes)
 
     @property
     def relation_size(self) -> int:
-        """Size of the relation as a set of ordered pairs."""
-        return sum(1 if a == b else 2 for a, b in self.pairs)
+        """Size of the relation as ordered pairs; diagonal codes are multiples of size + 1."""
+        return sum(1 if code % (self.size + 1) == 0 else 2 for code in self.codes)
 
     def related(self, q1: int, q2: int) -> bool:
         """True when some observation sequence allows both states."""
-        return _canon(q1, q2) in self.pairs
+        q1, q2 = _canon(q1, q2)
+        return q2 < self.size and q1 * self.size + q2 in self.codes
 
 
 def _canon(q1: int, q2: int) -> Pair:
@@ -109,13 +120,7 @@ def build_twin(model: DesModel, *, witnesses: bool = False) -> TwinReachability:
                         if nxt not in links:
                             links[nxt] = (code, ev) if witnesses else None
                             following.append(nxt)
-    # The tuples share one int per state; fresh ints nearly double the memory.
-    states = tuple(range(n))
-    return TwinReachability(
-        pairs=frozenset((states[code // n], states[code % n]) for code in links),
-        size=n,
-        parents=links if witnesses else None,
-    )
+    return TwinReachability(codes=links, size=n, parents=links if witnesses else None)
 
 
 def reachable_edges(
@@ -149,7 +154,7 @@ def witness_observations(twin: TwinReachability, pair: Pair) -> list[int]:
     pair = _canon(*pair)
     if twin.parents is None:
         raise NoWitnessError("twin was built without witness links")
-    if pair not in twin.pairs:
+    if not twin.related(*pair):
         raise ValueError(f"pair {pair} is not in the relation")
     events: list[int] = []
     link = twin.parents[pair[0] * twin.size + pair[1]]

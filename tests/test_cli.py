@@ -319,9 +319,11 @@ def test_query_bad_interval_exits_2(capsys, plant_file):
     assert "error" in err
 
 
-def test_query_negative_lead_exits_2(capsys, plant_file):
-    code, _, _ = run_cli(capsys, "query", plant_file, "-i", "-1", "-j", "2")
-    assert code == 2
+def test_query_negative_lead_exits_3(capsys, plant_file):
+    # A lead time is a natural number, so -1 is a usage error, as -j -1 is.
+    code, _, err = run_cli(capsys, "query", plant_file, "-i", "-1", "-j", "2")
+    assert code == 3
+    assert "expected a natural number, got '-1'" in err
 
 
 def test_query_usage_errors_exit_3(capsys, plant_file):
@@ -332,6 +334,17 @@ def test_query_usage_errors_exit_3(capsys, plant_file):
     code, _, err = run_cli(capsys, "query", plant_file, "-i", "1", "-j", "+2")
     assert code == 3
     assert "expected a natural number or inf, got '+2'" in err
+
+
+@pytest.mark.parametrize("text", ["+1", " 1", "1 ", "\u0661", "1_0", "inf"])
+def test_lead_and_family_size_take_ascii_digits_only(capsys, plant_file, text):
+    # int() would read each of these as a number (or inf as nothing at all).
+    code, out, err = run_cli(capsys, "query", plant_file, "-i", text, "-j", "2")
+    assert (code, out) == (3, "")
+    assert f"argument -i: expected a natural number, got {text!r}" in err
+    code, out, err = run_cli(capsys, "gen", "fig3a", "-n", text)
+    assert (code, out) == (3, "")
+    assert f"argument -n: expected a natural number, got {text!r}" in err
 
 
 # -- predict ------------------------------------------------------------------

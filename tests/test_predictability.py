@@ -23,7 +23,10 @@ from faultcast import (
 from faultcast.oracle import (
     OracleConfig,
     _draw_model,
+    oracle_dmax,
+    oracle_dmin,
     oracle_is_ij_predictable,
+    oracle_pairs,
     random_live_model,
 )
 
@@ -149,6 +152,33 @@ def test_unpredictable_when_confusion_never_resolves():
     analysis = analyze(m)
     assert not is_predictable(analysis.frontier)
     assert best_horizon(analysis.frontier) is None
+
+
+def test_hull_choice_matches_the_oracle_pairs_on_random_models():
+    # Each distinct hull keeps the least canonical pair that has it, read from
+    # the pair codes; the pair tuples are never built along the way.
+    rng = random.Random(58)
+    for _ in range(200):
+        model = random_live_model(rng, OracleConfig())
+        pairs = oracle_pairs(model)
+        dmin, dmax = oracle_dmin(model), oracle_dmax(model)
+        least = {}
+        for a, b in sorted(pairs, reverse=True):  # the least pair writes last
+            if min(dmin[a], dmin[b]) != INF:
+                least[Interval(min(dmin[a], dmin[b]), max(dmax[a], dmax[b]))] = (a, b)
+        states = range(len(model.states) + 2)  # and two indices past the last state
+        for witnesses in (False, True):
+            analysis = analyze(model, witnesses=witnesses)
+            twin = analysis.twin
+            assert "pairs" not in vars(twin), model
+            assert {e.interval: e.pair for e in analysis.frontier.hulls} == least, model
+            assert len(analysis.frontier.hulls) == len(least)
+            assert twin.pair_count == len(pairs)
+            assert twin.relation_size == sum(1 if a == b else 2 for a, b in pairs)
+            for a in states:
+                for b in states:
+                    assert twin.related(a, b) == ((min(a, b), max(a, b)) in pairs)
+            assert twin.pairs == pairs
 
 
 def test_bad_queries_raise(plant_analysis):
