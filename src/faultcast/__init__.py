@@ -13,7 +13,8 @@ with observable and unobservable events and a set of faulty states:
   (`PredictionSession`, `compile_predictor`).
 
 Models are built with `make_model`, read and written with `parse_model`
-and `serialize_model`, and checked with `validate`.
+and `serialize_model`, and checked with `validate`.  `faultcast.oracle`
+holds slow, independent reference answers to the same questions.
 """
 
 from .belief import (
@@ -21,10 +22,7 @@ from .belief import (
     BeliefState,
     DEFAULT_NODE_CAP,
     PredictionSession,
-    belief_step,
     compile_predictor,
-    initial_belief,
-    predict_sequence,
 )
 from .desfile import ModelDocument, parse_model, serialize_model
 from .distances import (
@@ -54,8 +52,6 @@ from .model import (
     check_valid,
     fault_closure,
     make_model,
-    observe,
-    run,
     unobservable_closure,
     validate,
 )
@@ -69,7 +65,6 @@ from .predictability import (
     compute_frontier,
     is_i_predictable,
     is_ij_predictable,
-    is_predictable,
 )
 from .twin import (
     TwinReachability,
@@ -108,7 +103,6 @@ __all__ = [
     "TwinReachability",
     "ValidationReport",
     "analyze",
-    "belief_step",
     "best_horizon",
     "build_twin",
     "check_valid",
@@ -122,18 +116,13 @@ __all__ = [
     "fan_system",
     "fault_closure",
     "format_extnat",
-    "initial_belief",
     "is_i_predictable",
     "is_ij_predictable",
-    "is_predictable",
     "long_fuse",
     "make_model",
-    "observe",
     "parse_extnat",
     "parse_model",
-    "predict_sequence",
     "reachable_edges",
-    "run",
     "serialize_model",
     "short_fuse",
     "unobservable_closure",

@@ -19,10 +19,10 @@ per byte on average, is read in at most ceil(n/8) lookups of memoized
 byte entries (the method of four Russians), which give its successor on
 every observable event, its interval and its witnesses without decoding
 it.  A sparse mask is read by one pass over its members.  Every interval
-comes from the model's own distance table.  Sessions, belief_step and
-predict_sequence share the one engine a model keeps, which starts new
-tables at DEFAULT_NODE_CAP beliefs; compile_predictor expands an engine
-of its own, reads each belief once, and refuses past its cap.
+comes from the model's own distance table.  Sessions share the one
+engine a model keeps, which starts new tables at DEFAULT_NODE_CAP
+beliefs; compile_predictor expands an engine of its own, reads each
+belief once, and refuses past its cap.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
 from operator import itemgetter, or_
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Union
 
 from .distances import DistanceTable
 from .errors import CapExceededError, ImpossibleObservationError
@@ -202,31 +202,6 @@ class _BeliefEngine:
 
     def belief(self, mask: int, interval: Interval) -> BeliefState:
         return BeliefState(frozenset(_members(mask)), interval, self.witnesses(mask))
-
-
-def initial_belief(model: DesModel) -> BeliefState:
-    """The belief before any observation: the initial state's closure."""
-    return PredictionSession(model).belief
-
-
-def belief_step(model: DesModel, belief: BeliefState, event: int) -> BeliefState:
-    """Advance a belief by one observed event.
-
-    Raises ImpossibleObservationError when the event is unknown or
-    unobservable or no member can take it, since then no run of the model
-    produces this observation.
-    """
-    engine = model.belief_engine
-    node = engine.step(engine.node(sum(1 << q for q in belief.members)), event)
-    return engine.belief(engine.masks[node], engine.intervals[node])
-
-
-def predict_sequence(model: DesModel, events: Sequence[int]) -> Interval:
-    """The interval announced after observing the whole sequence."""
-    engine = model.belief_engine
-    # Step first: a flush on the way replaces engine.intervals.
-    node = reduce(engine.step, events, engine.node(engine.start))
-    return engine.intervals[node]
 
 
 class PredictionSession:

@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("compile", help="enumerate all reachable beliefs")
     with_model(sub)
     sub.add_argument(
-        "--cap", type=int, default=DEFAULT_NODE_CAP,
+        "--cap", type=_nat_arg, default=DEFAULT_NODE_CAP,
         help="refuse past this many beliefs (default %(default)s)",
     )
     sub.add_argument("--dot", metavar="FILE", help="write the automaton as DOT")

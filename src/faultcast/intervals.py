@@ -3,16 +3,16 @@
 An interval (lo, hi) is a promise about how many more observable events
 will occur before the system is inside the fault set: at least lo and at
 most hi.  Both bounds live in the naturals extended with INF, and lo = INF
-forces hi = INF (the fault may never come).  The lattice operations here
-(containment, convex hull) and the saturating decrement are the whole
-algebra the predictor needs.
+forces hi = INF (the fault may never come).  Containment and the
+saturating decrement state how promises relate: one observation later,
+the new interval lies inside the old one decremented.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Union
 
 from .errors import InvalidIntervalError
 
@@ -77,28 +77,6 @@ class Interval:
     def is_proper_subset(self, other: "Interval") -> bool:
         """Strict containment: contained and not equal."""
         return self.issubset(other) and self != other
-
-    def hull(self, other: "Interval") -> "Interval":
-        """Smallest interval containing both operands."""
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
-
-    @classmethod
-    def hull_of(cls, intervals: Iterable["Interval"]) -> "Interval":
-        """Hull of a non-empty collection."""
-        it = iter(intervals)
-        try:
-            acc = next(it)
-        except StopIteration:
-            raise ValueError("hull_of needs at least one interval") from None
-        for iv in it:
-            acc = acc.hull(iv)
-        return acc
-
-    def __le__(self, other: "Interval") -> bool:
-        return self.issubset(other)
-
-    def __lt__(self, other: "Interval") -> bool:
-        return self.is_proper_subset(other)
 
     def __str__(self) -> str:
         return f"({format_extnat(self.lo)}, {format_extnat(self.hi)})"

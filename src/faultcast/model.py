@@ -119,12 +119,6 @@ class DesModel:
                 row[ev] = tuple(ts)
         return tuple(observable), tuple(map(tuple, silent))
 
-    def successors(self, q: int, event: int) -> tuple[int, ...]:
-        observable, silent = self.move_tables
-        if self.events[event].observable:
-            return observable[q].get(event, ())
-        return tuple(t for ev, t in silent[q] if ev == event)
-
     @cached_property
     def closed_successors(self) -> tuple[tuple[int, ...] | None, ...]:
         """Per event: None if unobservable, else per state the bit mask of
@@ -146,8 +140,7 @@ class DesModel:
 
     @cached_property
     def belief_engine(self):
-        """The belief engine shared by the model's PredictionSessions,
-        belief_step and predict_sequence."""
+        """The belief engine shared by the model's PredictionSessions."""
         from .belief import _BeliefEngine  # which imports this module
         return _BeliefEngine(self, self.distance_table)
 
@@ -367,7 +360,7 @@ def _unobservable_cycle(model: DesModel) -> list[int] | None:
     return None
 
 
-# -- normalization and execution -------------------------------------------
+# -- normalization and closure ---------------------------------------------
 
 
 def fault_closure(model: DesModel) -> DesModel:
@@ -399,27 +392,6 @@ def fault_closure(model: DesModel) -> DesModel:
         initial=model.initial,
         faulty=frozenset(closed),
     )
-
-
-def observe(model: DesModel, trace: Sequence[int]) -> list[int]:
-    """Project a trace of event indices onto its observable part."""
-    return [e for e in trace if model.events[e].observable]
-
-
-def run(model: DesModel, trace: Sequence[int]) -> frozenset[int]:
-    """States reachable from the initial state by executing trace exactly.
-
-    Nondeterminism makes this a set; it is empty when no execution of the
-    full trace exists.  The empty trace yields exactly the initial state.
-    """
-    current: frozenset[int] = frozenset({model.initial})
-    for e in trace:
-        current = frozenset(
-            dst for q in current for dst in model.successors(q, e)
-        )
-        if not current:
-            break
-    return current
 
 
 def unobservable_closure(model: DesModel, states: Iterable[int]) -> frozenset[int]:

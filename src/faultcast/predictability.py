@@ -168,11 +168,6 @@ def is_i_predictable(frontier: PredictabilityFrontier, i: int) -> bool:
     return frontier.vacuous or (i <= frontier.dmin_init and frontier.p[i] != INF)
 
 
-def is_predictable(frontier: PredictabilityFrontier) -> bool:
-    """Is any useful alarm possible at all (lead time one, some bound)?"""
-    return frontier.vacuous or is_i_predictable(frontier, 1)
-
-
 def best_horizon(frontier: PredictabilityFrontier) -> Optional[tuple[int, ExtNat]]:
     """The largest achievable lead time with its tightest promise.
 
@@ -194,9 +189,6 @@ class Analysis:
     table: DistanceTable
     twin: TwinReachability
     frontier: PredictabilityFrontier
-
-    def query(self, i: int, j: ExtNat) -> QueryVerdict:
-        return is_ij_predictable(self.frontier, i, j)
 
 
 def analyze(model: DesModel, *, witnesses: bool = False) -> Analysis:

@@ -28,14 +28,13 @@ from faultcast import (
 )
 from faultcast.cli import main
 from faultcast.oracle import (
-    OracleConfig,
     oracle_dmax,
     oracle_dmin,
     oracle_is_ij_predictable,
     oracle_pairs,
-    random_live_model,
-    sample_run,
 )
+
+from randmodels import OracleConfig, random_live_model, sample_run
 
 FIXTURES = {
     "drifting_plant": drifting_plant,

@@ -17,25 +17,19 @@ from faultcast import (
     Interval,
     PredictionSession,
     analyze,
-    belief_step,
     build_twin,
     compile_predictor,
     compute_distances,
     drifting_plant,
-    initial_belief,
     parse_model,
-    predict_sequence,
     serialize_model,
     validate,
 )
 from faultcast.belief import _BeliefEngine
 from faultcast.cli import _automaton_json, main
-from faultcast.oracle import (
-    OracleConfig,
-    oracle_beliefs,
-    random_live_model,
-    sample_run,
-)
+from faultcast.oracle import oracle_beliefs
+
+from randmodels import OracleConfig, random_live_model, sample_run
 
 
 def _member_names(model, belief):
@@ -44,7 +38,7 @@ def _member_names(model, belief):
 
 def test_plant_initial_belief(plant):
     table = compute_distances(plant)
-    belief = initial_belief(plant)
+    belief = PredictionSession(plant).belief
     assert _member_names(plant, belief) == {"A", "C"}
     assert belief.interval == Interval(3, INF)
     lo_w, hi_w = belief.witnesses
@@ -54,7 +48,7 @@ def test_plant_initial_belief(plant):
 
 
 def test_plant_belief_chain(plant):
-    belief = initial_belief(plant)
+    session = PredictionSession(plant)
     expectations = [
         ("a", {"B", "D"}, Interval(2, INF)),
         ("d", {"E", "F"}, Interval(1, 2)),
@@ -62,19 +56,9 @@ def test_plant_belief_chain(plant):
         ("a", {"G"}, Interval(0, 0)),
     ]
     for name, members, interval in expectations:
-        belief = belief_step(plant, belief, plant.event_index[name])
-        assert _member_names(plant, belief) == members
-        assert belief.interval == interval
-
-
-def test_predict_sequence_equals_session_feeds(plant):
-    stream = ["a", "d", "c", "a"]
-    session = PredictionSession(plant)
-    intervals = [session.feed(name) for name in stream]
-    for cut in range(len(stream) + 1):
-        events = [plant.event_index[n] for n in stream[:cut]]
-        expected = intervals[cut - 1] if cut else initial_belief(plant).interval
-        assert predict_sequence(plant, events) == expected
+        assert session.feed(plant.event_index[name]) == interval
+        assert _member_names(plant, session.belief) == members
+        assert session.belief.interval == interval
 
 
 def test_short_fuse_beliefs(fuse_short):
@@ -87,16 +71,17 @@ def test_short_fuse_beliefs(fuse_short):
 
 
 def test_impossible_observations(plant):
-    belief = initial_belief(plant)
+    session = PredictionSession(plant)
     # Unobservable events never appear in an observation stream.
     with pytest.raises(ImpossibleObservationError):
-        belief_step(plant, belief, plant.event_index["t"])
+        session.feed(plant.event_index["t"])
     # No member of {A, C} can take b.
     with pytest.raises(ImpossibleObservationError):
-        belief_step(plant, belief, plant.event_index["b"])
-    session = PredictionSession(plant)
+        session.feed(plant.event_index["b"])
     with pytest.raises(ImpossibleObservationError):
         session.feed("nope")
+    # A rejected event leaves the session where it was.
+    assert _member_names(plant, session.belief) == {"A", "C"}
 
 
 def test_session_feed_accepts_indexes_and_names(plant):
@@ -590,25 +575,3 @@ def test_byte_tables_match_a_member_loop_on_reachable_beliefs():
         dense += got[0]
         sparse += got[1]
     assert dense > 300 and sparse > 100
-
-
-def test_belief_step_walks_the_model_engine(monkeypatch):
-    # Small enough that the engine flushes, so its node 0 is soon not the start.
-    monkeypatch.setattr(faultcast.belief, "DEFAULT_NODE_CAP", 4)
-    built = []
-    init = _BeliefEngine.__init__
-    monkeypatch.setattr(
-        _BeliefEngine, "__init__", lambda engine, *args: built.append(engine) or init(engine, *args)
-    )
-    for rng, model in _random_models(65, 60, max_states=40):
-        built.clear()
-        for stream in _looping_streams(model, rng, 2):
-            session = PredictionSession(model)
-            belief = initial_belief(model)
-            assert belief == session.belief
-            for k, event in enumerate(stream):
-                belief = belief_step(model, belief, event)
-                assert session.feed(event) == belief.interval
-                assert belief == session.belief
-                assert predict_sequence(model, stream[: k + 1]) == belief.interval
-        assert built == [model.belief_engine]

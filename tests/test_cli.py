@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import io
 import json
 import os
@@ -392,15 +393,27 @@ def test_compile_cap_exits_2(capsys, plant_file):
     assert "cap" in err
 
 
-def test_compile_cap_below_one_exits_2(capsys, tmp_path):
+def _loop_file(tmp_path):
     path = tmp_path / "loop.des"
     path.write_text("des v1\nobs a\ninit A\ntrans A a A\n")
-    for cap in ("0", "-1"):
-        code, out, err = run_cli(capsys, "compile", "--cap", cap, str(path))
-        assert (code, out) == (2, "")
-        assert err == f"faultcast: error: cap must be at least 1: {cap}\n"
-    code, out, _ = run_cli(capsys, "compile", "--cap", "1", str(path))
+    return str(path)
+
+
+def test_compile_cap_below_one_exits_2(capsys, tmp_path):
+    path = _loop_file(tmp_path)
+    code, out, err = run_cli(capsys, "compile", "--cap", "0", path)
+    assert (code, out) == (2, "")
+    assert err == "faultcast: error: cap must be at least 1: 0\n"
+    code, out, _ = run_cli(capsys, "compile", "--cap", "1", path)
     assert (code, out) == (0, "nodes 1\nedges 1\n")
+
+
+@pytest.mark.parametrize("text", ["-1", "1_0", "+7", " 7"])
+def test_compile_cap_takes_ascii_digits_only(capsys, tmp_path, text):
+    # A cap is a natural number; int() would read each of these as one.
+    code, out, err = run_cli(capsys, "compile", "--cap", text, _loop_file(tmp_path))
+    assert (code, out) == (3, "")
+    assert f"argument --cap: expected a natural number, got {text!r}" in err
 
 
 def test_compile_json_export(capsys, tmp_path, plant_file):
@@ -460,6 +473,26 @@ def test_readme_quick_start_matches_the_cli(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "twin", str(path))
     assert code == 0
     assert out.splitlines()[:3] == shown[2:]
+
+
+def test_readme_library_tour_shows_real_values():
+    # Runs the tour statement by statement; a trailing comment is the repr
+    # of the value its expression statement gives.
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    namespace: dict = {}
+    shown = 0
+    for statement in ast.parse(block).body:
+        comment = lines[statement.end_lineno - 1][statement.end_col_offset:].strip()
+        if not comment:
+            exec(compile(ast.Module([statement], []), "README.md", "exec"), namespace)
+            continue
+        assert isinstance(statement, ast.Expr), comment
+        value = eval(compile(ast.Expression(statement.value), "README.md", "eval"), namespace)
+        assert comment == f"# {value!r}"
+        shown += 1
+    assert shown == 7
 
 
 @pytest.mark.parametrize("command", ["twin", "validate"])

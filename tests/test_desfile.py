@@ -17,7 +17,8 @@ from faultcast import (
     serialize_model,
 )
 from faultcast.model import FAULT_CLOSURE
-from faultcast.oracle import OracleConfig, random_live_model
+
+from randmodels import OracleConfig, random_live_model
 
 PLANT_TEXT = """\
 # A plant that drifts between two look-alike loops.

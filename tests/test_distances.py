@@ -16,13 +16,9 @@ from faultcast import (
     compute_dmin,
     make_model,
 )
-from faultcast.oracle import (
-    OracleConfig,
-    oracle_avoid_set,
-    oracle_dmax,
-    oracle_dmin,
-    random_live_model,
-)
+from faultcast.oracle import oracle_avoid_set, oracle_dmax, oracle_dmin
+
+from randmodels import OracleConfig, random_live_model
 
 
 def _by_name(model, values):

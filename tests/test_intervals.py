@@ -1,4 +1,4 @@
-"""Interval algebra: construction, containment, hull, decrement."""
+"""Interval algebra: construction, containment, decrement."""
 
 from __future__ import annotations
 
@@ -51,16 +51,7 @@ def test_subset_examples():
     assert Interval(2, 2).is_proper_subset(Interval(1, 2))
     assert Interval(2, 2).is_proper_subset(Interval(2, INF))
     assert not Interval(0, 3).issubset(Interval(1, 3))
-    assert Interval(1, 1) < Interval(0, 1)
-    assert Interval(1, 2) <= Interval(1, 2)
-
-
-def test_hull_examples():
-    assert Interval(1, 2).hull(Interval(3, 5)) == Interval(1, 5)
-    assert Interval(0, INF).hull(Interval(2, 3)) == Interval(0, INF)
-    assert Interval.hull_of([Interval(2, 2), Interval(1, 4), Interval(3, 3)]) == Interval(1, 4)
-    with pytest.raises(ValueError):
-        Interval.hull_of([])
+    assert Interval(1, 1).is_proper_subset(Interval(0, 1))
 
 
 def test_extnat_formatting_round_trip():
@@ -71,29 +62,6 @@ def test_extnat_formatting_round_trip():
     for text in ["-3", "x", "+3", " 3", "3 ", "1_000", "\u0663", "", "Inf", "3.0"]:
         with pytest.raises(ValueError):
             parse_extnat(text)
-
-
-@given(intervals(), intervals())
-def test_hull_is_least_upper_bound(a, b):
-    h = a.hull(b)
-    assert a.issubset(h) and b.issubset(h)
-    # Least: shrinking either end of the hull loses one operand.
-    assert h.lo == min(a.lo, b.lo) and h.hi == max(a.hi, b.hi)
-
-
-@given(intervals(), intervals())
-def test_hull_commutes(a, b):
-    assert a.hull(b) == b.hull(a)
-
-
-@given(intervals(), intervals(), intervals())
-def test_hull_associates(a, b, c):
-    assert a.hull(b).hull(c) == a.hull(b.hull(c))
-
-
-@given(intervals())
-def test_hull_idempotent(a):
-    assert a.hull(a) == a
 
 
 @given(intervals(), intervals(), intervals())

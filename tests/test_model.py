@@ -1,4 +1,4 @@
-"""Model construction, validation, normalization, and execution."""
+"""Model construction, validation, normalization, and adjacency tables."""
 
 from __future__ import annotations
 
@@ -10,10 +10,9 @@ from faultcast import (
     DesModel,
     Event,
     InitialFaultyError,
+    PredictionSession,
     fault_closure,
     make_model,
-    observe,
-    run,
     unobservable_closure,
     validate,
 )
@@ -23,7 +22,8 @@ from faultcast.model import (
     LIVENESS,
     OBSERVATION_LIVENESS,
 )
-from faultcast.oracle import OracleConfig, random_live_model, sample_run
+
+from randmodels import OracleConfig, random_live_model, sample_run
 
 
 def _codes(report):
@@ -197,32 +197,6 @@ def test_fault_closure_rejects_swallowing_initial(plant):
         fault_closure(refitted)
 
 
-def test_observe_projects_unobservable_events(plant):
-    e = plant.event_index
-    assert observe(plant, [e["a"], e["b"], e["t"], e["a"]]) == [e["a"], e["b"], e["a"]]
-    assert observe(plant, [e["t"]]) == []
-    assert observe(plant, []) == []
-
-
-def test_run_follows_exact_traces(plant, fan2):
-    e = plant.event_index
-    assert {plant.states[q] for q in run(plant, [e["a"], e["d"]])} == {"E"}
-    assert {plant.states[q] for q in run(plant, [])} == {"A"}
-    assert run(plant, [e["d"]]) == frozenset()
-    ef = fan2.event_index
-    assert {fan2.states[q] for q in run(fan2, [ef["a"]])} == {"B1", "B2"}
-
-
-def test_run_deterministic_models_have_singleton_runs(fuse_short, fuse_long):
-    rng = random.Random(5)
-    for model in (fuse_short, fuse_long):
-        assert len({(src, ev) for src, ev, _ in model.transitions}) == len(model.transitions)
-        for _ in range(50):
-            _, events = sample_run(model, rng, 12)
-            for cut in range(len(events) + 1):
-                assert len(run(model, events[:cut])) == 1
-
-
 def test_unobservable_closure(plant, fan2):
     a = plant.state_index
     assert unobservable_closure(plant, [a["A"]]) == frozenset({a["A"], a["C"]})
@@ -233,6 +207,11 @@ def test_unobservable_closure(plant, fan2):
 
 def _mask(states):
     return sum(1 << q for q in states)
+
+
+def _successors(model, q, ev):
+    # The targets of q on ev, in transition order, read from the transitions.
+    return tuple(t for s, e, t in model.transitions if (s, e) == (q, ev))
 
 
 def _valid_and_unvalidated_draws():
@@ -265,7 +244,7 @@ def test_closed_successor_masks_match_closures():
                 assert row is None
                 continue
             for q in range(len(model.states)):
-                targets = unobservable_closure(model, model.successors(q, ev))
+                targets = unobservable_closure(model, _successors(model, q, ev))
                 assert row[q] == _mask(targets)
 
 
@@ -281,21 +260,22 @@ def test_move_tables_expand_back_to_the_transitions():
         assert not any(model.events[ev].observable for moves in silent for ev, _ in moves)
         for q in range(len(model.states)):
             for ev in range(len(model.events)):
-                expected = tuple(t for s, e, t in model.transitions if (s, e) == (q, ev))
-                assert model.successors(q, ev) == expected
+                if model.events[ev].observable:
+                    got = observable[q].get(ev, ())
+                else:
+                    got = tuple(t for e, t in silent[q] if e == ev)
+                assert got == _successors(model, q, ev)
 
 
 def test_run_endpoints_always_inside_observation_belief():
     # Endpoint of any trace is possible given the trace's observation.
-    from faultcast import initial_belief, belief_step
-
     rng = random.Random(99)
     for _ in range(40):
         model = random_live_model(rng, OracleConfig())
         states, events = sample_run(model, rng, 15)
-        belief = initial_belief(model)
-        assert states[0] in belief.members
+        session = PredictionSession(model)
+        assert states[0] in session.belief.members
         for k, event in enumerate(events):
             if model.events[event].observable:
-                belief = belief_step(model, belief, event)
-            assert states[k + 1] in belief.members
+                session.feed(event)
+            assert states[k + 1] in session.belief.members

@@ -10,16 +10,15 @@ import random
 
 from faultcast import INF, drifting_plant, validate
 from faultcast.oracle import (
-    OracleConfig,
     oracle_avoid_set,
     oracle_beliefs,
     oracle_dmax,
     oracle_dmin,
     oracle_is_ij_predictable,
     oracle_pairs,
-    random_live_model,
-    sample_run,
 )
+
+from randmodels import OracleConfig, random_live_model, sample_run
 
 
 def _by_name(model, values):

@@ -17,18 +17,16 @@ from faultcast import (
     best_horizon,
     is_i_predictable,
     is_ij_predictable,
-    is_predictable,
     make_model,
 )
 from faultcast.oracle import (
-    OracleConfig,
-    _draw_model,
     oracle_dmax,
     oracle_dmin,
     oracle_is_ij_predictable,
     oracle_pairs,
-    random_live_model,
 )
+
+from randmodels import OracleConfig, _draw_model, random_live_model
 
 
 def scan_is_ij_predictable(frontier, i, j):
@@ -82,7 +80,7 @@ def test_plant_queries(plant_analysis):
 
 
 def test_plant_blocking_explanation(plant, plant_analysis):
-    verdict = plant_analysis.query(2, 2)
+    verdict = is_ij_predictable(plant_analysis.frontier, 2, 2)
     assert not verdict.predictable
     entry = verdict.blocking
     assert (plant.states[entry.pair[0]], plant.states[entry.pair[1]]) == ("B", "D")
@@ -126,13 +124,12 @@ def test_fan_is_vacuous(fan2_analysis):
     assert is_ij_predictable(frontier, 0, 0).predictable
     assert is_ij_predictable(frontier, 12, INF).predictable
     assert best_horizon(frontier) is None
-    assert is_predictable(frontier)
+    assert is_i_predictable(frontier, 1)
 
 
 def test_is_predictable_matches_lead_time_one(plant_analysis, short_analysis, long_analysis):
     for analysis in (plant_analysis, short_analysis, long_analysis):
-        assert is_predictable(analysis.frontier) == is_i_predictable(analysis.frontier, 1)
-        assert is_predictable(analysis.frontier)
+        assert is_i_predictable(analysis.frontier, 1)
 
 
 def test_unpredictable_when_confusion_never_resolves():
@@ -150,7 +147,7 @@ def test_unpredictable_when_confusion_never_resolves():
         faulty=["Bad"],
     )
     analysis = analyze(m)
-    assert not is_predictable(analysis.frontier)
+    assert not is_i_predictable(analysis.frontier, 1)
     assert best_horizon(analysis.frontier) is None
 
 

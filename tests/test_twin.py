@@ -18,7 +18,9 @@ from faultcast import (
     validate,
     witness_observations,
 )
-from faultcast.oracle import OracleConfig, oracle_pairs, random_live_model
+from faultcast.oracle import oracle_pairs
+
+from randmodels import OracleConfig, random_live_model
 
 
 def _named_pairs(model, twin):
@@ -188,13 +190,16 @@ def test_pairs_match_generic_construction_on_random_models():
         assert build_twin(model, witnesses=True).pairs == pairs
 
 
+def _image(model, belief, event):
+    # The targets of the belief's members on event, read from the transitions.
+    return {dst for src, ev, dst in model.transitions if src in belief and ev == event}
+
+
 def _belief_after(model, events):
     # States some run with exactly these observations can end in.
     belief = unobservable_closure(model, [model.initial])
     for event in events:
-        belief = unobservable_closure(
-            model, {dst for q in belief for dst in model.successors(q, event)}
-        )
+        belief = unobservable_closure(model, _image(model, belief, event))
     return belief
 
 
@@ -212,9 +217,7 @@ def _fewest_observations(model):
             for b in members[k:]:
                 fewest.setdefault((a, b), depth[belief])
         for event in observable:
-            nxt = unobservable_closure(
-                model, {dst for q in belief for dst in model.successors(q, event)}
-            )
+            nxt = unobservable_closure(model, _image(model, belief, event))
             if nxt and nxt not in depth:
                 depth[nxt] = depth[belief] + 1
                 queue.append(nxt)
