@@ -22,13 +22,15 @@ it.  A sparse mask is read by one pass over its members.  Every interval
 comes from the model's own distance table.  Sessions share the one
 engine a model keeps, which starts new tables at DEFAULT_NODE_CAP
 beliefs; compile_predictor expands an engine of its own, reads each
-belief once, and refuses past its cap.
+belief once, and refuses past its cap.  The mask is the belief: a
+BeliefState holds it and decodes its member set on first read, so
+compiling builds no sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import compress
 from operator import itemgetter, or_
 from typing import Mapping, Union
@@ -48,13 +50,26 @@ DEFAULT_NODE_CAP = 1 << 16
 class BeliefState:
     """A non-empty set of possible states with its hull interval.
 
-    witnesses holds one member achieving the lower bound and one
-    achieving the upper bound, in that order.
+    mask is the belief: bit q is set when state q is a member.  members
+    is decoded from it on first read.  witnesses holds one member
+    achieving the lower bound and one achieving the upper bound, in that
+    order.
     """
 
-    members: frozenset[int]
+    mask: int
     interval: Interval
     witnesses: tuple[int, int]
+
+    @cached_property
+    def members(self) -> frozenset[int]:
+        """The member states, decoded from mask on first read."""
+        return frozenset(_members(self.mask))
+
+    def __repr__(self) -> str:
+        return (
+            f"BeliefState(members={_members(self.mask)}, interval={self.interval!r}, "
+            f"witnesses={self.witnesses!r})"
+        )
 
 
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -201,7 +216,7 @@ class _BeliefEngine:
         return nxt
 
     def belief(self, mask: int, interval: Interval) -> BeliefState:
-        return BeliefState(frozenset(_members(mask)), interval, self.witnesses(mask))
+        return BeliefState(mask, interval, self.witnesses(mask))
 
 
 class PredictionSession:
@@ -284,6 +299,5 @@ def compile_predictor(model: DesModel, cap: int = DEFAULT_NODE_CAP) -> BeliefAut
                 engine.masks.append(target)
             engine.edges[node * engine.width + event] = nxt
     edges = {divmod(key, engine.width): nxt for key, nxt in engine.edges.items()}
-    members = map(frozenset, map(_members, engine.masks))
-    nodes = tuple(map(BeliefState, members, engine.intervals, zip(lows, highs)))
+    nodes = tuple(map(BeliefState, engine.masks, engine.intervals, zip(lows, highs)))
     return BeliefAutomaton(nodes=nodes, edges=edges, initial=0)

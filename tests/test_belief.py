@@ -210,8 +210,29 @@ def _observable_walk(model, rng, length):
 
 
 def test_compiled_predictor_covers_oracle_beliefs(plant):
-    automaton = compile_predictor(plant)
-    assert [node.members for node in automaton.nodes] == oracle_beliefs(plant)
+    models = [plant] + [model for _, model in _random_models(65, 200, max_states=40)]
+    for model in models:
+        automaton = compile_predictor(model)
+        # Compiling decodes no member sets; each is built on first read.
+        assert not any("members" in vars(node) for node in automaton.nodes)
+        assert [node.members for node in automaton.nodes] == oracle_beliefs(model)
+        # A node is equal to, and hashes like, the session belief it stands for.
+        paths = {automaton.initial: ()}  # a shortest event path to each node
+        for (src, event), dst in automaton.edges.items():  # sources ascend
+            paths.setdefault(dst, paths[src] + (event,))
+        for node, path in paths.items():
+            session = PredictionSession(model)
+            for event in path:
+                session.feed(event)
+            assert session.belief == automaton.nodes[node]
+            assert hash(session.belief) == hash(automaton.nodes[node])
+        assert len(paths) == len(automaton.nodes)
+
+
+def test_belief_repr_shows_the_sorted_members(plant):
+    assert repr(PredictionSession(plant).belief) == (
+        "BeliefState(members=[0, 3], interval=Interval(lo=3, hi=inf), witnesses=(0, 0))"
+    )
 
 
 def coarse_rule(obs_names):
