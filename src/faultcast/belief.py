@@ -12,19 +12,19 @@ A belief is a bit mask over the states; its successor on an event is the
 union of its members' rows in the model's closed-successor table, and an
 empty union means no run explains the event.  One engine, the observer
 (subset) construction built lazily, numbers beliefs as found and memoizes
-the edges between them; a revisited edge costs a dict lookup.  A belief
-is read for its interval when found and for its successors when first
-left, and the last read is kept.  A dense mask, with at least one member
-per byte on average, is read in at most ceil(n/8) lookups of memoized
-byte entries (the method of four Russians), which give its successor on
-every observable event, its interval and its witnesses without decoding
-it.  A sparse mask is read by one pass over its members.  Every interval
-comes from the model's own distance table.  Sessions share the one
-engine a model keeps, which starts new tables at DEFAULT_NODE_CAP
-beliefs; compile_predictor expands an engine of its own, reads each
-belief once, and refuses past its cap.  The mask is the belief: a
-BeliefState holds it and decodes its member set on first read, so
-compiling builds no sets.
+the edges between them; a revisited edge costs a dict lookup.  Each
+belief is read once, when found: the read gives its interval, and the
+engine keeps the part of it that gives its successors.  A dense mask,
+with at least one member per byte on average, is read in at most
+ceil(n/8) lookups of memoized byte entries (the method of four
+Russians), which give its successor on every observable event, its
+interval and its witnesses without decoding it.  A sparse mask is read
+by one pass over its members.  Every interval comes from the model's
+own distance table.  Sessions share the one engine a model keeps, which
+starts new tables at DEFAULT_NODE_CAP beliefs; compile_predictor expands
+an engine of its own, reads each belief once, and refuses past its cap.
+The mask is the belief: a BeliefState holds it and decodes its member
+set on first read, so compiling builds no sets.
 """
 
 from __future__ import annotations
@@ -98,7 +98,8 @@ def _sparse_members(mask: int) -> list[int]:
 
 class _BeliefEngine:
     """The beliefs of one model found so far, numbered in discovery order,
-    and their memoized edges, keyed by node * len(events) + event.
+    the row each kept from its one read (what successor needs of it), and
+    their memoized edges, keyed by node * len(events) + event.
 
     A dense mask is read a byte at a time: the entry of a (byte position,
     byte value) holds, for the at most 8 states of that byte, the OR of
@@ -121,10 +122,10 @@ class _BeliefEngine:
         self._keys = range(0, 256 * ((n + 7) // 8), 256)
         self.index: dict[int, int] = {}
         self.masks: list[int] = []
+        self.node_rows: list[int | list[int]] = []
         self.intervals: list[Interval] = []
         self.edges: dict[int, int] = {}
         self._shared: dict[tuple, Interval] = {}  # one Interval per (lo, hi)
-        self._last_mask, self._last_read = 0, (None, [])
         self.start = sum(1 << q for q in unobservable_closure(model, (model.initial,)))
 
     def node(self, mask: int) -> int:
@@ -133,10 +134,13 @@ class _BeliefEngine:
         if node is None:
             if len(self.masks) >= DEFAULT_NODE_CAP:
                 # New tables, not cleared: sessions still read their nodes in the old.
-                self.index, self.masks, self.intervals, self.edges = {}, [], [], {}
+                self.index, self.edges = {}, {}
+                self.masks, self.node_rows, self.intervals = [], [], []
             node = self.index[mask] = len(self.masks)
+            read = self.read(mask)
             self.masks.append(mask)
-            self.intervals.append(self.interval(self.witnesses(mask)))
+            self.node_rows.append(read[0])
+            self.intervals.append(self.interval(self.witnesses(read)))
         return node
 
     def interval(self, witnesses: tuple[int, int]) -> Interval:
@@ -160,44 +164,37 @@ class _BeliefEngine:
         self._bytes[key] = entry
         return entry
 
-    def read(self, mask: int) -> tuple[int | None, list]:
-        """For a dense mask, the OR of its byte entries' packed rows and the
-        entries of its non-zero bytes, ascending; for a sparse one, None and
-        its members.  The last read is kept: a step often leaves the belief
-        the previous step added, and compile_predictor reads each node
-        twice in a row."""
-        if mask == self._last_mask:
-            return self._last_read
+    def read(self, mask: int) -> tuple[int | list[int], list | None]:
+        """The belief's row and, when the mask is dense, the entries of its
+        non-zero bytes, ascending.  A dense row is the OR of the entries'
+        packed rows; a sparse row is the members, with no entries.  Each
+        belief is read once, when it becomes a node."""
         # Dense: at least one member per byte up to the top one, on average.
         if mask.bit_count() * 8 >= mask.bit_length():
             get, data = self._bytes.get, mask.to_bytes((mask.bit_length() + 7) // 8, "little")
             entries = [get(k + b) or self._entry(k + b) for k, b in zip(self._keys, data) if b]
-            read = reduce(or_, map(_PACKED, entries)), entries
-        else:
-            read = None, _sparse_members(mask)
-        self._last_mask, self._last_read = mask, read
-        return read
+            return reduce(or_, map(_PACKED, entries)), entries
+        return _sparse_members(mask), None
 
-    def successor(self, read: tuple[int | None, list], event: int) -> int:
-        """The belief mask after observing event from a read belief, 0 when none."""
-        packed, members = read
-        if packed is None:
-            return reduce(or_, filter(None, map(self.rows[event].__getitem__, members)), 0)
-        return packed >> self.shifts[event] & self.full
+    def successor(self, row: int | list[int], event: int) -> int:
+        """The belief mask after observing event from a belief's row, 0 when none."""
+        if type(row) is list:  # a sparse belief's members
+            return reduce(or_, filter(None, map(self.rows[event].__getitem__, row)), 0)
+        return row >> self.shifts[event] & self.full
 
-    def witnesses(self, mask: int) -> tuple[int, int]:
-        """The first member of least dmin and the first of greatest dmax,
-        in ascending order: ties go to the smallest index."""
-        packed, read = self.read(mask)
-        if packed is None:
+    def witnesses(self, read: tuple[int | list[int], list | None]) -> tuple[int, int]:
+        """The first member of least dmin and the first of greatest dmax of
+        a read belief, in ascending order: ties go to the smallest index."""
+        row, entries = read
+        if entries is None:
             dmin, dmax = self.table.dmin.__getitem__, self.table.dmax.__getitem__
-            return min(read, key=dmin), max(read, key=dmax)
+            return min(row, key=dmin), max(row, key=dmax)
         # min and max keep the first extreme entry, and bytes ascend.
-        return min(read, key=_LO)[2], max(read, key=_HI)[4]
+        return min(entries, key=_LO)[2], max(entries, key=_HI)[4]
 
     def step(self, node: int, event: int) -> int:
-        """The node after observing event at node; a new target first
-        flushes the engine when it is full."""
+        """The node after observing event at node, from its row; a new
+        target first flushes the engine when it is full."""
         if not 0 <= event < self.width:
             raise ImpossibleObservationError(f"unknown event index: {event}")
         nxt = self.edges.get(node * self.width + event)
@@ -206,7 +203,7 @@ class _BeliefEngine:
         name = self.model.events[event].name
         if self.rows[event] is None:
             raise ImpossibleObservationError(f"event {name} is not observable")
-        mask = self.successor(self.read(self.masks[node]), event)
+        mask = self.successor(self.node_rows[node], event)
         if not mask:
             raise ImpossibleObservationError(f"no run explains observing {name} here")
         masks = self.masks
@@ -214,9 +211,6 @@ class _BeliefEngine:
         if self.masks is masks:  # not flushed, so node is still one of these tables
             self.edges[node * self.width + event] = nxt
         return nxt
-
-    def belief(self, mask: int, interval: Interval) -> BeliefState:
-        return BeliefState(mask, interval, self.witnesses(mask))
 
 
 class PredictionSession:
@@ -238,7 +232,8 @@ class PredictionSession:
 
     @property
     def belief(self) -> BeliefState:
-        return self._engine.belief(self._masks[self._node], self.interval)
+        mask, engine = self._masks[self._node], self._engine
+        return BeliefState(mask, self.interval, engine.witnesses(engine.read(mask)))
 
     def feed(self, event: Union[int, str]) -> Interval:
         if isinstance(event, str):
@@ -282,13 +277,14 @@ def compile_predictor(model: DesModel, cap: int = DEFAULT_NODE_CAP) -> BeliefAut
     engine.masks.append(engine.start)
     for node, mask in enumerate(engine.masks):  # grows as beliefs are found
         # A node gets its interval here, not when found, so that one read
-        # of it gives both its successors and its witnesses.
-        read, (lo, hi) = engine.read(mask), engine.witnesses(mask)
+        # of it gives both its successors and its witnesses: no row is kept.
+        read = engine.read(mask)
+        lo, hi = engine.witnesses(read)
         engine.intervals.append(engine.interval((lo, hi)))
         lows.append(lo)
         highs.append(hi)
         for event in engine.shifts:
-            target = engine.successor(read, event)
+            target = engine.successor(read[0], event)
             if not target:
                 continue
             nxt = engine.index.get(target)

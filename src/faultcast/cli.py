@@ -383,8 +383,7 @@ def _twin_dot(model: DesModel, twin) -> str:
         name = f"{model.states[a]},{model.states[b]}"
         attrs = [f"label={_quote(name)}"]
         if a in model.faulty or b in model.faulty:
-            attrs.append("style=filled")
-            attrs.append("fillcolor=grey")
+            attrs += ["style=filled", "fillcolor=grey"]
         lines.append(f"  {_quote(name)} [{', '.join(attrs)}];")
     for src, event, observable, dst in reachable_edges(model, twin):
         src_name = f"{model.states[src[0]]},{model.states[src[1]]}"
@@ -410,8 +409,7 @@ def _automaton_dot(model: DesModel, automaton: BeliefAutomaton) -> str:
     for idx, node in enumerate(automaton.nodes):
         attrs = [f"label=\"{_belief_label(model, node)}\""]
         if any(q in model.faulty for q in node.members):
-            attrs.append("style=filled")
-            attrs.append("fillcolor=grey")
+            attrs += ["style=filled", "fillcolor=grey"]
         lines.append(f"  n{idx} [{', '.join(attrs)}];")
     for (src, event), dst in sorted(automaton.edges.items()):
         label = _quote(model.events[event].name)
@@ -431,10 +429,7 @@ def _automaton_json(model: DesModel, automaton: BeliefAutomaton) -> str:
                     _ext_json(node.interval.lo),
                     _ext_json(node.interval.hi),
                 ],
-                "witnesses": [
-                    model.states[node.witnesses[0]],
-                    model.states[node.witnesses[1]],
-                ],
+                "witnesses": [model.states[q] for q in node.witnesses],
             }
             for idx, node in enumerate(automaton.nodes)
         ],

@@ -5,16 +5,17 @@ algorithms than the main modules: distances by layered breadth-first
 search instead of a 0/1 priority queue, the avoid set through strongly
 connected components instead of successor-count elimination, confusable
 pairs by enumerating beliefs instead of the pair product, and
-predictability by scanning belief hulls instead of pair hulls.  Agreement
-between the two families is asserted by the test suite and by the CLI's
---oracle cross-checks; no analysis path calls into this module, and it
-reads none of the model's cached adjacency tables: each entry point
-groups the transitions itself.
+predictability over beliefs (their hulls, or a search of state-belief
+pairs) instead of pair hulls.  Agreement between the two families is
+asserted by the test suite and by the CLI's --oracle cross-checks; no
+analysis path calls into this module, and it reads none of the model's
+cached adjacency tables: each entry point groups the transitions itself.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import combinations_with_replacement
 from typing import Iterable
 
 from .errors import CapExceededError
@@ -196,41 +197,33 @@ def oracle_beliefs(
     """All reachable beliefs by plain subset construction, in BFS order."""
     by_source = _by_state(model, 0)
     start = _silent_closure(model, by_source, (model.initial,))
-    seen: dict[frozenset[int], int] = {start: 0}
-    order: list[frozenset[int]] = [start]
-    queue: deque[frozenset[int]] = deque([start])
-    observable = [
-        e for e in range(len(model.events)) if model.events[e].observable
-    ]
-    while queue:
-        belief = queue.popleft()
+    order, seen = [start], {start}
+    observable = [e for e, event in enumerate(model.events) if event.observable]
+    for belief in order:  # grows as beliefs are found
         for event in observable:
-            targets = {
-                dst for q in belief for _, ev, dst in by_source[q] if ev == event
-            }
-            if not targets:
-                continue
-            nxt = _silent_closure(model, by_source, targets)
-            if nxt not in seen:
+            nxt = _observe(model, by_source, belief, event)
+            if nxt and nxt not in seen:
                 if len(order) >= cap:
                     raise CapExceededError(cap, len(order))
-                seen[nxt] = len(order)
+                seen.add(nxt)
                 order.append(nxt)
-                queue.append(nxt)
     return order
+
+
+def _observe(
+    model: DesModel, by_source: list[list[Transition]], belief: frozenset[int], event: int
+) -> frozenset[int]:
+    # The belief after observing event, empty when no member can.
+    moved = {dst for q in belief for _, ev, dst in by_source[q] if ev == event}
+    return _silent_closure(model, by_source, moved)
 
 
 def oracle_pairs(
     model: DesModel, cap: int = DEFAULT_BELIEF_CAP
 ) -> frozenset[tuple[int, int]]:
     """Unordered confusable pairs: co-membership in some belief."""
-    pairs: set[tuple[int, int]] = set()
-    for belief in oracle_beliefs(model, cap):
-        members = sorted(belief)
-        for a in range(len(members)):
-            for b in range(a, len(members)):
-                pairs.add((members[a], members[b]))
-    return frozenset(pairs)
+    beliefs = oracle_beliefs(model, cap)
+    return frozenset(p for b in beliefs for p in combinations_with_replacement(sorted(b), 2))
 
 
 def oracle_is_ij_predictable(
@@ -247,11 +240,32 @@ def oracle_is_ij_predictable(
     if i > dmin[model.initial]:
         return False
     for belief in oracle_beliefs(model, cap):
-        hull = Interval(
-            min(dmin[q] for q in belief), max(dmax[q] for q in belief)
-        )
-        if hull.lo == INF:
-            continue
-        if query.is_proper_subset(hull):
+        hull = Interval(min(dmin[q] for q in belief), max(dmax[q] for q in belief))
+        if hull.lo != INF and query.is_proper_subset(hull):
             return False
+    return True
+
+
+def oracle_product_is_ij_predictable(model: DesModel, i: int, j: ExtNat) -> bool:
+    """Predictability by its definition, over (plant state, belief) pairs.
+
+    A silent move changes the state and keeps the belief; an observable
+    event moves both.  A belief may alarm when its hull lies inside
+    [i, j]; (i, j) holds when no path from the initial pair reaches a
+    faulty state through beliefs that may not alarm.  No pair hull is used.
+    """
+    dmin, dmax = oracle_dmin(model), oracle_dmax(model)
+    by_source = _by_state(model, 0)
+    order = [(model.initial, _silent_closure(model, by_source, (model.initial,)))]
+    seen = set(order)
+    for q, belief in order:  # grows as pairs are found
+        if i <= min(dmin[p] for p in belief) and max(dmax[p] for p in belief) <= j:
+            continue  # the monitor alarms here
+        if q in model.faulty:
+            return False
+        for _, ev, dst in by_source[q]:
+            step = _observe(model, by_source, belief, ev) if model.events[ev].observable else belief
+            if (dst, step) not in seen:
+                seen.add((dst, step))
+                order.append((dst, step))
     return True

@@ -509,6 +509,44 @@ def test_rejected_events_leave_the_session_unchanged(plant):
     assert session.feed("d") == Interval(1, 2)
 
 
+@pytest.mark.parametrize("cap", [4, None])
+def test_each_belief_is_read_once(monkeypatch, cap):
+    # A step takes its successors from the row its source node kept, so the
+    # engine reads exactly the beliefs it adds, in order, also re-adding
+    # them after a flush; compile_predictor reads each of its nodes once.
+    if cap is not None:
+        monkeypatch.setattr(faultcast.belief, "DEFAULT_NODE_CAP", cap)
+    reads, added = [], []
+    read, node = _BeliefEngine.read, _BeliefEngine.node
+    monkeypatch.setattr(_BeliefEngine, "read", lambda e, mask: reads.append(mask) or read(e, mask))
+
+    def adding(engine, mask):
+        if mask not in engine.index:
+            added.append(mask)
+        return node(engine, mask)
+
+    monkeypatch.setattr(_BeliefEngine, "node", adding)
+    rng = random.Random(65)
+    models = [drifting_plant()] + [model for _, model in _random_models(65, 80, max_states=40)]
+    flushes = 0
+    for model in models:
+        engine = model.belief_engine
+        for stream in _looping_streams(model, rng, 3):
+            session = PredictionSession(model)
+            for event in stream:
+                masks = engine.masks
+                session.feed(event)
+                flushes += engine.masks is not masks
+                assert reads == added
+                assert len(engine.node_rows) == len(engine.masks)
+        reads.clear()
+        added.clear()
+        automaton = compile_predictor(model)
+        assert reads == [belief.mask for belief in automaton.nodes]
+        reads.clear()
+    assert flushes > 100 if cap else flushes == 0
+
+
 # -- the byte tables against a member loop ---------------------------------
 
 
@@ -523,22 +561,18 @@ def _check_reads(engine, model, table, masks):
     dense = sparse = 0
     for mask in masks:
         belief = frozenset(q for q in range(len(model.states)) if mask >> q & 1)
-        read = engine.read(mask)
-        if read[0] is None:
+        row, entries = read = engine.read(mask)
+        if entries is None:
             sparse += 1
+            assert row == sorted(belief)
         else:
             dense += 1
         for event in observable:
-            assert engine.successor(read, event) == _mask(_image(model, belief, event))
+            assert engine.successor(row, event) == _mask(_image(model, belief, event))
         lo_w, hi_w = _witnesses(table, belief)
-        assert engine.witnesses(mask) == (lo_w, hi_w)
+        assert engine.witnesses(read) == (lo_w, hi_w)
         bounds = min(table.dmin[q] for q in belief), max(table.dmax[q] for q in belief)
         assert engine.interval((lo_w, hi_w)) == Interval(*bounds)
-    # The one-read memo must not mix up masks: read them again, interleaved.
-    for mask, other in zip(masks, masks[1:] + masks[:1]):
-        engine.read(other)
-        belief = frozenset(q for q in range(len(model.states)) if mask >> q & 1)
-        assert engine.witnesses(mask) == _witnesses(table, belief)
     return dense, sparse
 
 
@@ -580,7 +614,7 @@ def test_byte_tables_match_a_member_loop_at_every_width():
             seen["dense"] += dense
             seen["sparse"] += sparse
             for mask in masks:
-                lo_w, hi_w = engine.witnesses(mask)
+                lo_w, hi_w = engine.witnesses(engine.read(mask))
                 seen["inf lo"] += table.dmin[lo_w] == INF
                 seen["inf hi"] += table.dmax[hi_w] == INF
     assert min(seen.values()) > 20, seen

@@ -6,6 +6,7 @@ import ast
 import io
 import json
 import os
+import select
 import subprocess
 import sys
 from pathlib import Path
@@ -495,31 +496,59 @@ def test_readme_library_tour_shows_real_values():
     assert shown == 7
 
 
-@pytest.mark.parametrize("command", ["twin", "validate"])
-@pytest.mark.parametrize("unbuffered", ["", "1"])
-def test_closed_stdout_pipe_is_not_an_error(capsys, tmp_path, command, unbuffered):
-    # `faultcast twin fan40.des | head -1`: the reader goes away early.  With
-    # buffered stdout the short `validate` output is written at the end.
-    path = tmp_path / "fan40.des"
-    code, _, _ = run_cli(capsys, "gen", "fig3a", "-n", "40", "-o", str(path))
-    assert code == 0
+def _cli_env(unbuffered=""):
+    """The environment of a CLI child process that imports this faultcast."""
     src = str(Path(faultcast.__file__).parent.parent)
     env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.mark.parametrize("command", ["twin", "validate", "predict"])
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_pipe_is_not_an_error(capsys, tmp_path, command, unbuffered):
+    # `faultcast twin fan40.des | head -1`: the reader goes away early.  With
+    # buffered stdout the short `validate` output is written at the end;
+    # `predict` reads a stream on stdin and flushes every line.
+    path = tmp_path / "fan40.des"
+    code, _, _ = run_cli(capsys, "gen", "fig3a", "-n", "40", "-o", str(path))
+    assert code == 0
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         result = subprocess.run(
             [sys.executable, "-m", "faultcast.cli", command, str(path)],
+            input=b"a\n" * 1000 if command == "predict" else None,
             stdout=write_end,
             stderr=subprocess.PIPE,
-            env=env,
+            env=_cli_env(unbuffered),
             timeout=60,
         )
     finally:
         os.close(write_end)
     assert result.stderr == b""
     assert result.returncode == 0
+
+
+def test_predict_answers_each_line_over_a_pipe(plant_file):
+    # A monitor writes one event and waits for its interval before writing
+    # the next, so every answer line must leave as soon as it is made.
+    with subprocess.Popen(
+        [sys.executable, "-m", "faultcast.cli", "predict", plant_file],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        bufsize=0,
+        env=_cli_env(),
+    ) as child:
+        for name, answer in [("a", b"2 inf\n"), ("d", b"1 2\n"), ("c", b"1 1\n"), ("a", b"0 0\n")]:
+            child.stdin.write(name.encode() + b"\n")
+            ready, _, _ = select.select([child.stdout], [], [], 60)
+            assert ready, f"no answer to {name} within 60 s"
+            assert child.stdout.readline() == answer
+        child.stdin.close()
+        assert child.wait(timeout=60) == 0
+        assert child.stderr.read() == b""
 
 
 def test_gen_bad_size_exits_2(capsys):

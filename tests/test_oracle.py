@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 
-from faultcast import INF, drifting_plant, validate
+from faultcast import INF, drifting_plant, parse_model, validate
 from faultcast.oracle import (
     oracle_avoid_set,
     oracle_beliefs,
@@ -16,6 +16,7 @@ from faultcast.oracle import (
     oracle_dmin,
     oracle_is_ij_predictable,
     oracle_pairs,
+    oracle_product_is_ij_predictable,
 )
 
 from randmodels import OracleConfig, random_live_model, sample_run
@@ -95,6 +96,19 @@ def test_oracle_query_verdicts(plant, fuse_short, fuse_long, fan2):
     assert oracle_is_ij_predictable(fan2, 5, 5)
 
 
+def test_product_oracle_verdicts(plant, fuse_short, fuse_long, fan2):
+    oracle = oracle_product_is_ij_predictable
+    assert oracle(plant, 1, 2) and not oracle(plant, 2, 2)
+    assert oracle(fuse_short, 1, 1) and not oracle(fuse_short, 2, 3)
+    assert oracle(fuse_long, 2, 3) and not oracle(fuse_long, 1, 1)
+    assert oracle(fan2, 5, 5)
+    # With j = inf a belief may alarm on its lower bound alone, so the two
+    # oracles part: q0 has dmin 1 and dmax inf, and q1 is the fault.
+    two = parse_model("des v1\nobs a\ninit q0\nfault q1\ntrans q0 a q0\ntrans q0 a q1\ntrans q1 a q1\n")
+    assert [oracle_product_is_ij_predictable(two, i, INF) for i in range(3)] == [True, True, False]
+    assert [oracle_is_ij_predictable(two, i, INF) for i in range(3)] == [True, False, False]
+
+
 def test_random_models_satisfy_invariants():
     rng = random.Random(123)
     for _ in range(60):
@@ -132,6 +146,7 @@ def test_oracle_reads_no_cached_adjacency_table():
     oracle_dmax(model)
     oracle_pairs(model)
     oracle_is_ij_predictable(model, 1, 2)
+    oracle_product_is_ij_predictable(model, 1, 2)
     sample_run(model, random.Random(3), 10)
     cached = {"incoming", "move_tables", "closed_successors"}
     assert not cached & set(vars(model))

@@ -24,6 +24,7 @@ from faultcast.oracle import (
     oracle_dmin,
     oracle_is_ij_predictable,
     oracle_pairs,
+    oracle_product_is_ij_predictable,
 )
 
 from randmodels import OracleConfig, _draw_model, random_live_model
@@ -211,6 +212,23 @@ def test_queries_agree_with_oracle_on_random_models():
                 is_ij_predictable(frontier, i, j).predictable
                 == oracle_is_ij_predictable(model, i, j)
             ), (model, i, j)
+
+
+def test_finite_queries_agree_with_the_product_oracle():
+    # The product oracle decides (i, j) from its definition, with no pair
+    # hull; the pair-hull rule must give the same verdict for every finite j.
+    rng = random.Random(55)
+    verdicts = {True: 0, False: 0}
+    for _ in range(300):
+        model = random_live_model(rng, OracleConfig())
+        frontier = analyze(model).frontier
+        last = max((e.interval.hi for e in frontier.hulls if e.interval.hi != INF), default=0)
+        for i in range(min(frontier.dmin_init, len(model.states)) + 2):
+            for j in range(i, max(i, last + 1) + 1):
+                got = is_ij_predictable(frontier, i, j).predictable
+                assert got == oracle_product_is_ij_predictable(model, i, j), (model, i, j)
+                verdicts[got] += 1
+    assert min(verdicts.values()) > 300, verdicts
 
 
 def test_monotonicity_of_query_answers():
