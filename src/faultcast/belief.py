@@ -22,9 +22,10 @@ interval and its witnesses without decoding it.  A sparse mask is read
 by one pass over its members.  Every interval comes from the model's
 own distance table.  Sessions share the one engine a model keeps, which
 starts new tables at DEFAULT_NODE_CAP beliefs; compile_predictor expands
-an engine of its own, reads each belief once, and refuses past its cap.
-The mask is the belief: a BeliefState holds it and decodes its member
-set on first read, so compiling builds no sets.
+an engine of its own, reads each belief once, takes its successors on
+every event in one pass (a sparse one from its members' move lists),
+and refuses past its cap.  The mask is the belief: a BeliefState holds
+it and decodes its member set on first read, so compiling builds no sets.
 """
 
 from __future__ import annotations
@@ -106,7 +107,8 @@ class _BeliefEngine:
     their closed-successor rows with every observable event's row n bits
     apart, and their least dmin and greatest dmax with the first member
     reaching each.  Entries are filled on first use and depend only on the
-    model and the table, so they outlive a flush.
+    model and the table, so they outlive a flush.  So do the move lists
+    of the states, which only successors reads.
     """
 
     def __init__(self, model: DesModel, table: DistanceTable):
@@ -119,6 +121,7 @@ class _BeliefEngine:
         self.full = (1 << n) - 1
         self._bytes: dict[int, tuple] = {}  # byte position * 256 + byte value -> entry
         self._packed: list[int | None] = [None] * n  # per state, its rows n bits apart
+        self._moves: list[list | None] = [None] * n  # per state, its (event, row) moves
         self._keys = range(0, 256 * ((n + 7) // 8), 256)
         self.index: dict[int, int] = {}
         self.masks: list[int] = []
@@ -182,6 +185,24 @@ class _BeliefEngine:
             return reduce(or_, filter(None, map(self.rows[event].__getitem__, row)), 0)
         return row >> self.shifts[event] & self.full
 
+    def successors(self, row: int | list[int]) -> list[tuple[int, int]]:
+        """The (event, belief mask) pairs after every observable event from
+        a belief's row, ascending by event, leaving out the events with no
+        target.  A sparse row ORs its members' move lists per event."""
+        if type(row) is not list:
+            return [(e, t) for e, shift in self.shifts.items() if (t := row >> shift & self.full)]
+        moves = self._moves
+        for q in row:
+            if moves[q] is None:
+                moves[q] = [(e, r[q]) for e in self.shifts if (r := self.rows[e])[q]]
+        if len(row) == 1:
+            return moves[row[0]]
+        targets: dict[int, int] = {}
+        for q in row:
+            for event, target in moves[q]:
+                targets[event] = targets.get(event, 0) | target
+        return sorted(targets.items())
+
     def witnesses(self, read: tuple[int | list[int], list | None]) -> tuple[int, int]:
         """The first member of least dmin and the first of greatest dmax of
         a read belief, in ascending order: ties go to the smallest index."""
@@ -241,6 +262,8 @@ class PredictionSession:
             if index is None:
                 raise ImpossibleObservationError(f"unknown event name: {event}")
             event = index
+        elif not isinstance(event, int) or isinstance(event, bool):
+            raise ImpossibleObservationError(f"not an event name or index: {event!r}")
         engine, node = self._engine, self._node
         if self._masks is not engine.masks:  # flushed since this session's last step
             node = engine.node(self._masks[node])
@@ -262,7 +285,7 @@ class BeliefAutomaton:
 
 
 def compile_predictor(model: DesModel, cap: int = DEFAULT_NODE_CAP) -> BeliefAutomaton:
-    """Expand every belief of the engine, breadth-first.
+    """Expand every belief of the engine on all events at once, breadth-first.
 
     Raises CapExceededError as soon as a (cap+1)-th distinct belief shows
     up, reporting how many were explored, and ValueError for a cap below 1.
@@ -273,6 +296,7 @@ def compile_predictor(model: DesModel, cap: int = DEFAULT_NODE_CAP) -> BeliefAut
     # Each node's witnesses, kept for its BeliefState: a refused compile
     # builds none, and two lists of ints hold less than a list of pairs.
     lows, highs = [], []
+    edges: dict[tuple[int, int], int] = {}
     engine.index[engine.start] = 0
     engine.masks.append(engine.start)
     for node, mask in enumerate(engine.masks):  # grows as beliefs are found
@@ -283,17 +307,13 @@ def compile_predictor(model: DesModel, cap: int = DEFAULT_NODE_CAP) -> BeliefAut
         engine.intervals.append(engine.interval((lo, hi)))
         lows.append(lo)
         highs.append(hi)
-        for event in engine.shifts:
-            target = engine.successor(read[0], event)
-            if not target:
-                continue
+        for event, target in engine.successors(read[0]):
             nxt = engine.index.get(target)
             if nxt is None:
                 if len(engine.masks) >= cap:
                     raise CapExceededError(cap, len(engine.masks))
                 nxt = engine.index[target] = len(engine.masks)
                 engine.masks.append(target)
-            engine.edges[node * engine.width + event] = nxt
-    edges = {divmod(key, engine.width): nxt for key, nxt in engine.edges.items()}
+            edges[node, event] = nxt
     nodes = tuple(map(BeliefState, engine.masks, engine.intervals, zip(lows, highs)))
     return BeliefAutomaton(nodes=nodes, edges=edges, initial=0)

@@ -91,6 +91,20 @@ def test_session_feed_accepts_indexes_and_names(plant):
     assert by_name.belief.members == by_index.belief.members
 
 
+def test_session_feed_refuses_values_that_are_not_indexes(plant):
+    # A bool is not an event index, though True == 1; a float or None is not
+    # one either.  Each is refused by name and leaves the session unchanged.
+    session = PredictionSession(plant)
+    session.feed("a")
+    belief, interval = session.belief, session.interval
+    for bad in [True, False, 1.0, None, b"a"]:
+        refusal = f"not an event name or index: {bad!r}"
+        with pytest.raises(ImpossibleObservationError, match=refusal):
+            session.feed(bad)
+        assert session.belief == belief
+        assert session.interval == interval
+
+
 def test_plant_compiled_predictor(plant):
     automaton = compile_predictor(plant)
     got = [
@@ -356,6 +370,33 @@ def test_compiled_predictor_equals_subset_construction():
             lo_w, hi_w = _witnesses(table, belief)
             assert node.witnesses == (lo_w, hi_w)
             assert node.interval == Interval(table.dmin[lo_w], table.dmax[hi_w])
+
+
+def test_compiled_predictor_equals_subset_construction_on_sparse_beliefs():
+    # At up to 40 states many beliefs are sparse (under one member per byte
+    # of the mask), so compile_predictor expands them from their members'
+    # move lists, merging several lists for a belief of several members.
+    sparse = merged = 0
+    for _, model in _random_models(31, 120, max_states=40):
+        table = compute_distances(model)
+        automaton = compile_predictor(model)
+        order, edges = _subset_construction(model)
+        assert [node.members for node in automaton.nodes] == order
+        assert list(automaton.edges.items()) == list(edges.items())
+        for node, belief in zip(automaton.nodes, order):
+            lo_w, hi_w = _witnesses(table, belief)
+            assert node.witnesses == (lo_w, hi_w)
+            assert node.interval == Interval(table.dmin[lo_w], table.dmax[hi_w])
+            if node.mask.bit_count() * 8 < node.mask.bit_length():  # the engine's rule
+                sparse += 1
+                merged += node.mask.bit_count() > 1
+        # The cap refuses at the first belief past it and holds all at the count.
+        for cap in range(1, len(order)):
+            with pytest.raises(CapExceededError) as refused:
+                compile_predictor(model, cap=cap)
+            assert refused.value.explored == cap
+        assert compile_predictor(model, cap=len(order)).nodes == automaton.nodes
+    assert sparse >= 140 and merged >= 35
 
 
 def _looping_streams(model, rng, count):
