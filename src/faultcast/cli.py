@@ -157,7 +157,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     except InvalidModelError as exc:
         for finding in exc.report.findings:
-            print(f"faultcast: {finding.severity} {finding.code}: {finding.message}", file=sys.stderr)
+            print(f"faultcast: error {finding.code}: {finding.message}", file=sys.stderr)
         return 2
     except (FaultcastError, OSError, ValueError) as exc:
         print(f"faultcast: error: {exc}", file=sys.stderr)
@@ -194,7 +194,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         print("ok")
         return 0
     for finding in report.findings:
-        print(f"{finding.severity} {finding.code}: {finding.message}")
+        print(f"error {finding.code}: {finding.message}")
     return 2
 
 
@@ -240,7 +240,16 @@ def _cmd_twin(args: argparse.Namespace) -> int:
             for pair in pairs
         }
     if args.dot:
-        _write(args.dot, _twin_dot(model, twin))
+        names = {pair: f"{model.states[pair[0]]},{model.states[pair[1]]}" for pair in pairs}
+        nodes = [
+            (_quote(names[a, b]), names[a, b], a in model.faulty or b in model.faulty)
+            for a, b in pairs
+        ]
+        edges = [
+            (_quote(names[src]), _quote(names[dst]), model.events[event].name, not observable)
+            for src, event, observable, dst in reachable_edges(model, twin)
+        ]
+        _write(args.dot, _dot("twin", nodes, edges))
     if args.format == "json":
         payload = {
             "pair_count": twin.pair_count,
@@ -322,10 +331,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
                 )
             else:
                 print(f"blocking pair: {' '.join(blocking['pair'])}")
-                hull = " ".join(format_extnat(v) for v in [
-                    verdict.blocking.interval.lo, verdict.blocking.interval.hi
-                ])
-                print(f"blocking hull: {hull}")
+                print(f"blocking hull: {' '.join(map(str, blocking['hull']))}")
                 print(f"witness: {' '.join(blocking['witness'])}")
         if oracle_verdict is not None:
             print("oracle " + ("predictable" if oracle_verdict else "not predictable"))
@@ -354,7 +360,17 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     model = _load(args)
     automaton = compile_predictor(model, cap=args.cap)
     if args.dot:
-        _write(args.dot, _automaton_dot(model, automaton))
+        nodes = []
+        for idx, node in enumerate(automaton.nodes):
+            members = ",".join(sorted(model.states[q] for q in node.members))
+            lo, hi = format_extnat(node.interval.lo), format_extnat(node.interval.hi)
+            label = f"{{{members}}}\n[{lo},{hi}]"
+            nodes.append((f"n{idx}", label, not model.faulty.isdisjoint(node.members)))
+        edges = [
+            (f"n{src}", f"n{dst}", model.events[event].name, False)
+            for (src, event), dst in sorted(automaton.edges.items())
+        ]
+        _write(args.dot, _dot("predictor", nodes, edges))
     if args.json:
         _write(args.json, _automaton_json(model, automaton))
     print(f"nodes {len(automaton.nodes)}")
@@ -373,47 +389,24 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 # -- exports ----------------------------------------------------------------
 
 
-def _quote(name: str) -> str:
-    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+def _quote(label: str) -> str:
+    # Names hold no whitespace, so a newline can only be a label's line break.
+    return '"' + label.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
 
 
-def _twin_dot(model: DesModel, twin) -> str:
-    lines = ["digraph twin {", "  rankdir=LR;"]
-    for a, b in sorted(twin.pairs):
-        name = f"{model.states[a]},{model.states[b]}"
-        attrs = [f"label={_quote(name)}"]
-        if a in model.faulty or b in model.faulty:
-            attrs += ["style=filled", "fillcolor=grey"]
-        lines.append(f"  {_quote(name)} [{', '.join(attrs)}];")
-    for src, event, observable, dst in reachable_edges(model, twin):
-        src_name = f"{model.states[src[0]]},{model.states[src[1]]}"
-        dst_name = f"{model.states[dst[0]]},{model.states[dst[1]]}"
-        attrs = [f"label={_quote(model.events[event].name)}"]
-        if not observable:
-            attrs.append("style=dashed")
-        lines.append(
-            f"  {_quote(src_name)} -> {_quote(dst_name)} [{', '.join(attrs)}];"
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def _dot(graph: str, nodes, edges) -> str:
+    """A left-to-right DOT digraph.
 
-
-def _belief_label(model: DesModel, belief) -> str:
-    members = "{" + ",".join(sorted(model.states[q] for q in belief.members)) + "}"
-    iv = belief.interval
-    return f"{members}\\n[{format_extnat(iv.lo)},{format_extnat(iv.hi)}]"
-
-
-def _automaton_dot(model: DesModel, automaton: BeliefAutomaton) -> str:
-    lines = ["digraph predictor {", "  rankdir=LR;"]
-    for idx, node in enumerate(automaton.nodes):
-        attrs = [f"label=\"{_belief_label(model, node)}\""]
-        if any(q in model.faulty for q in node.members):
-            attrs += ["style=filled", "fillcolor=grey"]
-        lines.append(f"  n{idx} [{', '.join(attrs)}];")
-    for (src, event), dst in sorted(automaton.edges.items()):
-        label = _quote(model.events[event].name)
-        lines.append(f"  n{src} -> n{dst} [label={label}];")
+    nodes holds (id, label, filled) and edges (source id, target id,
+    label, dashed); ids are written as given, every label is quoted.
+    """
+    lines = [f"digraph {graph} {{", "  rankdir=LR;"]
+    for node, label, filled in nodes:
+        fill = ", style=filled, fillcolor=grey" if filled else ""
+        lines.append(f"  {node} [label={_quote(label)}{fill}];")
+    for src, dst, label, dashed in edges:
+        dash = ", style=dashed" if dashed else ""
+        lines.append(f"  {src} -> {dst} [label={_quote(label)}{dash}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

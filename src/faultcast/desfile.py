@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 
 from .errors import ModelSyntaxError
 from .model import DesModel, check_valid, fault_closure, make_model
@@ -171,16 +173,9 @@ def serialize_model(model: DesModel) -> str:
     if unnamed:
         raise ValueError(f"state {unnamed[0]} is not initial, faulty or in a transition")
     lines = ["des v1"]
-    start = 0
-    events = model.events
-    while start < len(events):
-        end = start
-        while end < len(events) and events[end].observable == events[start].observable:
-            end += 1
-        keyword = "obs" if events[start].observable else "hidden"
-        names = " ".join(e.name for e in events[start:end])
-        lines.append(f"{keyword} {names}")
-        start = end
+    for observable, run in groupby(model.events, attrgetter("observable")):
+        keyword = "obs" if observable else "hidden"
+        lines.append(f"{keyword} {' '.join(e.name for e in run)}")
     lines.append(f"init {model.states[model.initial]}")
     if model.faulty:
         names = " ".join(model.states[q] for q in sorted(model.faulty))

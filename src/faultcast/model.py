@@ -200,8 +200,6 @@ def make_model(
     """
     event_list = [Event(name, bool(obs)) for name, obs in events]
     event_ids = {e.name: i for i, e in enumerate(event_list)}
-    if len(event_ids) != len(event_list):
-        raise ValueError("duplicate event name")
 
     order: list[str] = []
     ids: dict[str, int] = {}
@@ -245,11 +243,9 @@ OBSERVATION_LIVENESS = "observation-liveness"
 
 @dataclass(frozen=True)
 class Finding:
-    """One validation problem: what rule broke, where, and why."""
+    """One validation problem: what rule broke, and where."""
 
-    severity: str
     code: str
-    subject: str
     message: str
 
 
@@ -270,46 +266,24 @@ def validate(model: DesModel) -> ValidationReport:
     for q in range(len(model.states)):
         if not observable[q] and not silent[q]:
             findings.append(
-                Finding(
-                    "error",
-                    LIVENESS,
-                    f"state {model.states[q]}",
-                    f"state {model.states[q]} has no outgoing transition",
-                )
+                Finding(LIVENESS, f"state {model.states[q]} has no outgoing transition")
             )
 
     for src, ev, dst in model.transitions:
         if src in model.faulty and dst not in model.faulty:
             text = _trans_text(model, (src, ev, dst))
-            findings.append(
-                Finding(
-                    "error",
-                    FAULT_CLOSURE,
-                    f"transition {text}",
-                    f"transition {text} leaves the fault set",
-                )
-            )
+            findings.append(Finding(FAULT_CLOSURE, f"transition {text} leaves the fault set"))
 
     if model.initial in model.faulty:
         findings.append(
-            Finding(
-                "error",
-                INITIAL_FAULTY,
-                f"state {model.states[model.initial]}",
-                f"initial state {model.states[model.initial]} is faulty",
-            )
+            Finding(INITIAL_FAULTY, f"initial state {model.states[model.initial]} is faulty")
         )
 
     cycle = _unobservable_cycle(model)
     if cycle is not None:
         text = " -> ".join(model.states[q] for q in cycle)
         findings.append(
-            Finding(
-                "error",
-                OBSERVATION_LIVENESS,
-                f"cycle {text}",
-                f"cycle {text} uses only unobservable events",
-            )
+            Finding(OBSERVATION_LIVENESS, f"cycle {text} uses only unobservable events")
         )
 
     return ValidationReport(tuple(findings))

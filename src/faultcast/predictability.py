@@ -10,11 +10,11 @@ late one.  An extra gate i <= dmin(initial) rules out alarms earlier than
 the system's own distance to the fault.
 
 The frontier is the rule that answers queries.  For each achievable lead
-time i it holds the tightest honest promise p[i], and for an unbounded
-promise it holds inf_floor, the smallest lead time of a never-ending
-hull; a verdict is one lookup.  The distinct pair hulls stay as the
-explanatory inventory: a refusal names the first of them, tightest lead
-time first, that strictly contains the query, found by a per-row lookup.
+time i it holds the tightest honest promise p[i], finite or not; a
+verdict, for a finite or an unbounded promise, reads p[i] and p[i - 1].
+The distinct pair hulls stay as the explanatory inventory: a refusal
+names the first of them, tightest lead time first, that strictly
+contains the query, found by a per-row lookup.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ class PredictabilityFrontier:
     dmin_init: ExtNat
     vacuous: bool
     p: tuple[ExtNat, ...]
-    inf_floor: ExtNat
     hulls: tuple[HullEntry, ...]
     rows: tuple[tuple[HullEntry, ...], ...]
 
@@ -111,12 +110,10 @@ def compute_frontier(
     tops = [row[-1].interval.hi if row else -1 for row in rows]
     below = accumulate([-1, *tops], max)  # the widest end over rows < i
     p = tuple(max(i, top, low + 1) for i, (top, low) in enumerate(zip(tops, below)))
-    inf_floor = min((lo for lo, hi in first if hi == INF), default=INF)
     return PredictabilityFrontier(
         dmin_init=dmin_init,
         vacuous=vacuous,
         p=p,
-        inf_floor=inf_floor,
         hulls=tuple(hulls),
         rows=tuple(map(tuple, rows)),
     )
@@ -136,9 +133,9 @@ def is_ij_predictable(
     """Can a correct alarm come i observations early with a j bound?
 
     True when the model is fault-free (vacuously), and otherwise when the
-    lead time is at most the initial state's fault distance and j >= p[i],
-    or, for j = inf, no never-ending hull starts before i.  A refusal
-    within reach names its blocking hull.
+    lead time is at most the initial state's fault distance, j >= p[i],
+    and p[i - 1] is finite (for i > 0).  A refusal within reach names its
+    blocking hull.
     """
     _check_lead_time(i)
     Interval(i, j)  # refuses j < i and a j that is not an extended natural
@@ -146,7 +143,11 @@ def is_ij_predictable(
         return QueryVerdict(True, None)
     if i > frontier.dmin_init:
         return QueryVerdict(False, None)
-    if (i <= frontier.inf_floor) if j == INF else (j >= frontier.p[i]):
+    # p[i - 1] is inf exactly when a hull (lo < i, inf) is reachable; such a
+    # hull strictly contains (i, inf), so it refuses every promise.  p never
+    # decreases, so for a finite j that case already fails j >= p[i].
+    p = frontier.p
+    if j >= p[i] and (i == 0 or p[i - 1] != INF):
         return QueryVerdict(True, None)
     return QueryVerdict(False, _blocking(frontier, i, j))
 

@@ -6,6 +6,7 @@ import ast
 import io
 import json
 import os
+import re
 import select
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import faultcast
-from faultcast import drifting_plant, fan_system, parse_model, serialize_model
+from faultcast import drifting_plant, fan_system, format_extnat, parse_model, serialize_model
 from faultcast.cli import main
 
 
@@ -441,6 +442,54 @@ def test_compile_dot_export(capsys, tmp_path, plant_file):
     assert dot.startswith("digraph predictor {")
     assert "n0" in dot
     assert "fillcolor=grey" in dot
+
+
+_DOT_STRING = re.compile(r'"((?:[^"\\]|\\.)*)"')
+
+
+def _dot_labels(dot):
+    """The quoted strings of each line, unescaped; fails on a stray quote
+    or backslash outside them."""
+    strings = []
+    for line in dot.splitlines():
+        rest = _DOT_STRING.sub("", line)
+        assert '"' not in rest and "\\" not in rest, line
+        for body in _DOT_STRING.findall(line):
+            assert re.fullmatch(r'(?:[^"\\]|\\["\\n])*', body), line
+            strings.append(re.sub(r"\\(.)", lambda m: "\n" if m[1] == "n" else m[1], body))
+    return strings
+
+
+def test_dot_exports_quote_every_label(capsys, tmp_path):
+    # The grammar allows any non-space token without "#" as a state name.
+    path = tmp_path / "quoted.des"
+    path.write_text(
+        'des v1\nobs a b\nhidden h\ninit "B\nfault x"y\\\n'
+        'trans "B a a\\b\ntrans a\\b h "B\ntrans "B b x"y\\\n'
+        'trans x"y\\ a x"y\\\ntrans a\\b a x"y\\\n'
+    )
+    model = parse_model(path.read_text())
+    dot_path = tmp_path / "out.dot"
+
+    code, _, _ = run_cli(capsys, "compile", "--dot", str(dot_path), str(path))
+    assert code == 0
+    want = {
+        "{" + ",".join(sorted(model.states[q] for q in node.members)) + "}\n"
+        f"[{format_extnat(node.interval.lo)},{format_extnat(node.interval.hi)}]"
+        for node in faultcast.compile_predictor(model).nodes
+    }
+    labels = _dot_labels(dot_path.read_text())
+    assert want <= set(labels)
+    assert '{"B,a\\b}\n[1,inf]' in labels
+    assert set(labels) - want <= {"a", "b"}
+
+    code, _, _ = run_cli(capsys, "twin", "--dot", str(dot_path), str(path))
+    assert code == 0
+    want = {f"{model.states[x]},{model.states[y]}" for x, y in faultcast.build_twin(model).pairs}
+    labels = _dot_labels(dot_path.read_text())
+    assert want <= set(labels)
+    assert 'x"y\\,x"y\\' in labels
+    assert set(labels) - want <= {"a", "b", "h"}
 
 
 # -- gen ----------------------------------------------------------------------

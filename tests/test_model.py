@@ -56,6 +56,8 @@ def test_constructor_rejects_structural_garbage():
         )
     with pytest.raises(ValueError):
         make_model([("a", True)], [("A", "b", "A")], "A")
+    with pytest.raises(ValueError, match="duplicate event name: a"):
+        make_model([("a", True), ("a", False)], [("A", "a", "A")], "A")
 
 
 def test_semantic_equality_ignores_index_order():

@@ -12,9 +12,11 @@ from faultcast import (
     DesModel,
     Interval,
     InvalidIntervalError,
+    PredictionSession,
     QueryVerdict,
     analyze,
     best_horizon,
+    compile_predictor,
     is_i_predictable,
     is_ij_predictable,
     make_model,
@@ -27,7 +29,7 @@ from faultcast.oracle import (
     oracle_product_is_ij_predictable,
 )
 
-from randmodels import OracleConfig, _draw_model, random_live_model
+from randmodels import OracleConfig, _draw_model, random_live_model, sample_run
 
 
 def scan_is_ij_predictable(frontier, i, j):
@@ -371,7 +373,7 @@ def test_permuting_states_changes_only_the_numbering():
             assert b.table.dmax[perm[q]] == a.table.dmax[q]
         assert b.twin.pairs == {tuple(sorted((perm[x], perm[y]))) for x, y in a.twin.pairs}
         fa, fb = a.frontier, b.frontier
-        assert (fb.p, fb.dmin_init, fb.inf_floor) == (fa.p, fa.dmin_init, fa.inf_floor)
+        assert (fb.p, fb.dmin_init) == (fa.p, fa.dmin_init)
         assert [e.interval for e in fb.hulls] == [e.interval for e in fa.hulls]
         for i, promises in _dense_grid(fa, len(model.states)):
             for j in promises:
@@ -382,3 +384,66 @@ def test_permuting_states_changes_only_the_numbering():
                     assert va.blocking.interval == vb.blocking.interval
             assert is_i_predictable(fa, i) == is_i_predictable(fb, i)
         assert best_horizon(fa) == best_horizon(fb)
+
+
+def _renamed_events(model, rng):
+    """The same model rebuilt with every event renamed and the event
+    declarations shuffled; returns it with the old -> new name map."""
+    names = [e.name for e in model.events]
+    fresh = [f"ev{k}" for k in range(len(names))]
+    rng.shuffle(fresh)
+    rename = dict(zip(names, fresh))
+    declared = [(rename[e.name], e.observable) for e in model.events]
+    rng.shuffle(declared)
+    moved = make_model(
+        declared,
+        [(model.states[s], rename[names[e]], model.states[d]) for s, e, d in model.transitions],
+        model.states[model.initial],
+        [model.states[q] for q in model.faulty],
+        states=model.states,
+    )
+    return moved, rename
+
+
+def test_renaming_and_reordering_events_changes_only_the_names():
+    rng = random.Random(101)
+    config = OracleConfig(max_states=12)
+    for _ in range(300):
+        model = random_live_model(rng, config)
+        moved, rename = _renamed_events(model, rng)
+        assert moved.states == model.states
+
+        def renamed(events):  # model's event indices -> moved's event indices
+            return tuple(moved.event_index[rename[model.events[e].name]] for e in events)
+
+        a, b = analyze(model, witnesses=True), analyze(moved, witnesses=True)
+        assert (b.table.dmin, b.table.dmax) == (a.table.dmin, a.table.dmax)
+        assert b.twin.pairs == a.twin.pairs
+        fa, fb = a.frontier, b.frontier
+        assert (fb.p, fb.dmin_init, fb.vacuous) == (fa.p, fa.dmin_init, fa.vacuous)
+        assert [(e.interval, e.pair) for e in fb.hulls] == [(e.interval, e.pair) for e in fa.hulls]
+        assert [e.witness for e in fb.hulls] == [renamed(e.witness) for e in fa.hulls]
+        for i, promises in _dense_grid(fa, len(model.states)):
+            for j in promises:
+                va, vb = is_ij_predictable(fa, i, j), is_ij_predictable(fb, i, j)
+                assert va.predictable == vb.predictable, (model, i, j)
+                assert (va.blocking is None) == (vb.blocking is None), (model, i, j)
+                if va.blocking is not None:
+                    assert (vb.blocking.interval, vb.blocking.pair) == (
+                        va.blocking.interval, va.blocking.pair
+                    )
+
+        _, events = sample_run(model, rng, 15)
+        observed = [model.events[e].name for e in events if model.events[e].observable]
+        sa, sb = PredictionSession(model), PredictionSession(moved)
+        assert [sb.feed(rename[name]) for name in observed] == [sa.feed(name) for name in observed]
+
+        # Node numbering follows event order, so compare the automata as sets.
+        ca, cb = compile_predictor(model), compile_predictor(moved)
+        assert {n.mask for n in cb.nodes} == {n.mask for n in ca.nodes}
+        assert cb.nodes[cb.initial].mask == ca.nodes[ca.initial].mask
+        assert {(cb.nodes[s].mask, moved.events[e].name, cb.nodes[d].mask)
+                for (s, e), d in cb.edges.items()} == {
+            (ca.nodes[s].mask, rename[model.events[e].name], ca.nodes[d].mask)
+            for (s, e), d in ca.edges.items()
+        }
