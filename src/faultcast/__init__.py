@@ -42,13 +42,12 @@ from .errors import (
     ModelSyntaxError,
     NoWitnessError,
 )
-from .families import drifting_plant, fan_system, long_fuse, short_fuse
+from .families import drifting_plant, fan_system
 from .intervals import INF, ExtNat, Interval, format_extnat, parse_extnat
 from .model import (
     DesModel,
     Event,
     Finding,
-    ValidationReport,
     check_valid,
     fault_closure,
     make_model,
@@ -101,7 +100,6 @@ __all__ = [
     "PredictionSession",
     "QueryVerdict",
     "TwinReachability",
-    "ValidationReport",
     "analyze",
     "best_horizon",
     "build_twin",
@@ -118,13 +116,11 @@ __all__ = [
     "format_extnat",
     "is_i_predictable",
     "is_ij_predictable",
-    "long_fuse",
     "make_model",
     "parse_extnat",
     "parse_model",
     "reachable_edges",
     "serialize_model",
-    "short_fuse",
     "unobservable_closure",
     "validate",
     "witness_observations",

@@ -280,9 +280,6 @@ class BeliefAutomaton:
     edges: Mapping[tuple[int, int], int]
     initial: int = 0
 
-    def step(self, node: int, event: int) -> int | None:
-        return self.edges.get((node, event))
-
 
 def compile_predictor(model: DesModel, cap: int = DEFAULT_NODE_CAP) -> BeliefAutomaton:
     """Expand every belief of the engine on all events at once, breadth-first.

@@ -156,7 +156,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"faultcast: impossible observation: {exc}", file=sys.stderr)
         return 1
     except InvalidModelError as exc:
-        for finding in exc.report.findings:
+        for finding in exc.findings:
             print(f"faultcast: error {finding.code}: {finding.message}", file=sys.stderr)
         return 2
     except (FaultcastError, OSError, ValueError) as exc:
@@ -189,11 +189,11 @@ def _ext_json(value: ExtNat) -> object:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    report = validate(_load(args))
-    if report.ok:
+    findings = validate(_load(args))
+    if not findings:
         print("ok")
         return 0
-    for finding in report.findings:
+    for finding in findings:
         print(f"error {finding.code}: {finding.message}")
     return 2
 
@@ -240,13 +240,14 @@ def _cmd_twin(args: argparse.Namespace) -> int:
             for pair in pairs
         }
     if args.dot:
-        names = {pair: f"{model.states[pair[0]]},{model.states[pair[1]]}" for pair in pairs}
+        # Numbered ids: a state name may hold ",", so two pairs can share a label.
+        ids = {pair: f"p{k}" for k, pair in enumerate(pairs)}
         nodes = [
-            (_quote(names[a, b]), names[a, b], a in model.faulty or b in model.faulty)
-            for a, b in pairs
+            (ids[pair], ",".join(model.states[q] for q in pair), not model.faulty.isdisjoint(pair))
+            for pair in pairs
         ]
         edges = [
-            (_quote(names[src]), _quote(names[dst]), model.events[event].name, not observable)
+            (ids[src], ids[dst], model.events[event].name, not observable)
             for src, event, observable, dst in reachable_edges(model, twin)
         ]
         _write(args.dot, _dot("twin", nodes, edges))

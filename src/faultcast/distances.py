@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .intervals import INF, ExtNat, Interval
+from .intervals import INF, ExtNat
 from .model import DesModel
 
 
@@ -42,10 +42,6 @@ class DistanceTable:
     dmin: tuple[ExtNat, ...]
     dmax: tuple[ExtNat, ...]
     avoid: frozenset[int]
-
-    def interval(self, q: int) -> Interval:
-        """The prediction interval (dmin(q), dmax(q)) of a single state."""
-        return Interval(self.dmin[q], self.dmax[q])
 
 
 def compute_distances(model: DesModel) -> DistanceTable:

@@ -18,13 +18,14 @@ class InitialFaultyError(FaultcastError, ValueError):
 class InvalidModelError(FaultcastError, ValueError):
     """A model failed structural validation.
 
-    Carries the full ValidationReport so callers can show every finding.
+    Carries every finding of `validate`, as `findings`, so callers can
+    show them all.
     """
 
-    def __init__(self, report) -> None:
-        lines = "; ".join(f.message for f in report.findings)
+    def __init__(self, findings) -> None:
+        lines = "; ".join(f.message for f in findings)
         super().__init__(f"invalid model: {lines}")
-        self.report = report
+        self.findings = findings
 
 
 class ModelSyntaxError(FaultcastError, ValueError):

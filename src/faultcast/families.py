@@ -1,4 +1,6 @@
-"""Built-in example systems used by tests, docs, and the CLI generator."""
+"""Built-in example systems: the drifting plant of the README tour, and
+the fan family that `faultcast gen fig3a` writes for scaling runs.
+"""
 
 from __future__ import annotations
 
@@ -33,52 +35,6 @@ def drifting_plant() -> DesModel:
         ],
         initial="A",
         faulty=["G"],
-    )
-
-
-def short_fuse() -> DesModel:
-    """Fully observable chain where the warning comes one step ahead.
-
-    S0 can idle on b forever; the first a commits it to the fault two
-    observations later, and after the second a the fault is immediate.
-    The fault is predictable with a tight one-step horizon and nothing
-    looser.
-    """
-    return make_model(
-        events=[("a", True), ("b", True)],
-        transitions=[
-            ("S0", "a", "S1"),
-            ("S0", "b", "S0"),
-            ("S1", "a", "S2"),
-            ("S2", "a", "S2"),
-        ],
-        initial="S0",
-        faulty=["S2"],
-    )
-
-
-def long_fuse() -> DesModel:
-    """Fully observable model with an early but imprecise warning.
-
-    Once A takes a, the fault is certain, but it arrives after two or
-    three more observations depending on whether C goes straight in or
-    detours through D.  Compared with short_fuse the warning is earlier
-    and the arrival window wider; neither system's guarantee implies the
-    other's.
-    """
-    return make_model(
-        events=[("a", True), ("b", True)],
-        transitions=[
-            ("A", "a", "B"),
-            ("A", "b", "A"),
-            ("B", "a", "C"),
-            ("C", "a", "E"),
-            ("C", "b", "D"),
-            ("D", "b", "E"),
-            ("E", "a", "E"),
-        ],
-        initial="A",
-        faulty=["E"],
     )
 
 

@@ -3,9 +3,9 @@
 An interval (lo, hi) is a promise about how many more observable events
 will occur before the system is inside the fault set: at least lo and at
 most hi.  Both bounds live in the naturals extended with INF, and lo = INF
-forces hi = INF (the fault may never come).  Containment and the
-saturating decrement state how promises relate: one observation later,
-the new interval lies inside the old one decremented.
+forces hi = INF (the fault may never come).  Interval is a checked pair
+of bounds and nothing more; format_extnat and parse_extnat write and read
+one bound as text.
 """
 
 from __future__ import annotations
@@ -60,29 +60,3 @@ class Interval:
             raise InvalidIntervalError(
                 f"lower bound exceeds upper bound: ({self.lo}, {self.hi})"
             )
-
-    def decrement(self) -> "Interval":
-        """Shift the promise one observation into the future.
-
-        Each bound drops by one, saturating so that 0 and INF are fixed
-        points.  After seeing one more event, "at least lo / at most hi
-        more" becomes "at least lo-1 / at most hi-1 more".
-        """
-        return Interval(_dec(self.lo), _dec(self.hi))
-
-    def issubset(self, other: "Interval") -> bool:
-        """Containment: every point of self lies inside other."""
-        return other.lo <= self.lo and self.hi <= other.hi
-
-    def is_proper_subset(self, other: "Interval") -> bool:
-        """Strict containment: contained and not equal."""
-        return self.issubset(other) and self != other
-
-    def __str__(self) -> str:
-        return f"({format_extnat(self.lo)}, {format_extnat(self.hi)})"
-
-
-def _dec(value: ExtNat) -> ExtNat:
-    if value == INF or value == 0:
-        return value
-    return value - 1

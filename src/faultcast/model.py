@@ -18,7 +18,9 @@ Four structural invariants make the later analyses meaningful:
 * observation liveness: no cycle of only unobservable transitions, so any
   infinite run emits infinitely many observations.
 
-`validate` checks all four and reports findings; it never raises.
+`validate` checks all four and returns its findings, a tuple that is
+empty for a valid model; it never raises.  `check_valid` raises
+InvalidModelError carrying them.
 """
 
 from __future__ import annotations
@@ -188,15 +190,14 @@ def make_model(
     transitions: Iterable[tuple[str, str, str]],
     initial: str,
     faulty: Iterable[str] = (),
-    states: Iterable[str] = (),
 ) -> DesModel:
     """Assemble a model from names.
 
-    State indices follow first mention (any names in `states` first, then
-    the initial state, fault states, and transition endpoints in order);
-    event indices follow the order of `events`.  Exact duplicate
-    transitions collapse.  The result is not validated; run `validate` or
-    `check_valid` separately.
+    State indices follow first mention (the initial state, fault states,
+    and transition endpoints in order); to fix them otherwise, build the
+    DesModel by index.  Event indices follow the order of `events`.
+    Exact duplicate transitions collapse.  The result is not validated;
+    run `validate` or `check_valid` separately.
     """
     event_list = [Event(name, bool(obs)) for name, obs in events]
     event_ids = {e.name: i for i, e in enumerate(event_list)}
@@ -210,8 +211,6 @@ def make_model(
             order.append(name)
         return ids[name]
 
-    for name in states:
-        intern(name)
     init = intern(initial)
     fault_ids = frozenset(intern(name) for name in faulty)
     trans: list[Transition] = []
@@ -249,17 +248,8 @@ class Finding:
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    findings: tuple[Finding, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
-
-
-def validate(model: DesModel) -> ValidationReport:
-    """Check the four structural invariants and report every violation."""
+def validate(model: DesModel) -> tuple[Finding, ...]:
+    """Check the four structural invariants and return every violation."""
     findings: list[Finding] = []
 
     observable, silent = model.move_tables
@@ -286,14 +276,14 @@ def validate(model: DesModel) -> ValidationReport:
             Finding(OBSERVATION_LIVENESS, f"cycle {text} uses only unobservable events")
         )
 
-    return ValidationReport(tuple(findings))
+    return tuple(findings)
 
 
 def check_valid(model: DesModel) -> None:
     """Raise InvalidModelError when validate finds anything."""
-    report = validate(model)
-    if not report.ok:
-        raise InvalidModelError(report)
+    findings = validate(model)
+    if findings:
+        raise InvalidModelError(findings)
 
 
 def _trans_text(model: DesModel, t: Transition) -> str:

@@ -218,30 +218,27 @@ def _observe(
     return _silent_closure(model, by_source, moved)
 
 
-def oracle_pairs(
-    model: DesModel, cap: int = DEFAULT_BELIEF_CAP
-) -> frozenset[tuple[int, int]]:
+def oracle_pairs(model: DesModel) -> frozenset[tuple[int, int]]:
     """Unordered confusable pairs: co-membership in some belief."""
-    beliefs = oracle_beliefs(model, cap)
+    beliefs = oracle_beliefs(model)
     return frozenset(p for b in beliefs for p in combinations_with_replacement(sorted(b), 2))
 
 
-def oracle_is_ij_predictable(
-    model: DesModel, i: int, j: ExtNat, cap: int = DEFAULT_BELIEF_CAP
-) -> bool:
-    """Predictability decided directly over belief hulls."""
+def oracle_is_ij_predictable(model: DesModel, i: int, j: ExtNat) -> bool:
+    """Predictability decided directly over belief hulls: a reachable
+    belief whose hull strictly contains (i, j) refuses it."""
     if not isinstance(i, int) or i < 0:
         raise ValueError(f"lead time must be a finite natural: {i!r}")
-    query = Interval(i, j)
+    Interval(i, j)  # refuses j < i and a j that is not an extended natural
     dmin = oracle_dmin(model)
     dmax = oracle_dmax(model)
     if dmin[model.initial] == INF:
         return True
     if i > dmin[model.initial]:
         return False
-    for belief in oracle_beliefs(model, cap):
-        hull = Interval(min(dmin[q] for q in belief), max(dmax[q] for q in belief))
-        if hull.lo != INF and query.is_proper_subset(hull):
+    for belief in oracle_beliefs(model):
+        lo, hi = min(dmin[q] for q in belief), max(dmax[q] for q in belief)
+        if lo <= i and j <= hi and (lo, hi) != (i, j):
             return False
     return True
 

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from faultcast import analyze, drifting_plant, fan_system, long_fuse, short_fuse
+from faultcast import analyze, drifting_plant, fan_system
+
+from helpers import long_fuse, short_fuse
 
 
 @pytest.fixture(scope="session")

@@ -37,7 +37,7 @@ def random_live_model(rng: random.Random, config: OracleConfig = OracleConfig())
     """
     for _ in range(1000):
         model = _draw_model(rng, config)
-        if validate(model).ok:
+        if not validate(model):
             return model
     raise RuntimeError("random model generation kept failing validation")
 

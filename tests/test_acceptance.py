@@ -21,10 +21,9 @@ from faultcast import (
     compute_distances,
     drifting_plant,
     fan_system,
+    format_extnat,
     is_ij_predictable,
-    long_fuse,
     serialize_model,
-    short_fuse,
 )
 from faultcast.cli import main
 from faultcast.oracle import (
@@ -34,6 +33,7 @@ from faultcast.oracle import (
     oracle_pairs,
 )
 
+from helpers import decrement, issubset, long_fuse, short_fuse
 from randmodels import OracleConfig, random_live_model, sample_run
 
 FIXTURES = {
@@ -113,15 +113,14 @@ def test_criterion_3_stream_predictions(capsys):
         Interval(0, 0),
     ]
     matches_rows_2_and_4 = got[1] == reference[1] and got[3] == reference[3]
-    within_rows_1_and_3 = got[0].issubset(reference[0]) and got[2].issubset(
-        reference[2]
-    )
+    within_rows_1_and_3 = issubset(got[0], reference[0]) and issubset(got[2], reference[2])
     ok = exact and matches_rows_2_and_4 and within_rows_1_and_3 and elapsed < 1.0
+    shown = [f"({format_extnat(v.lo)}, {format_extnat(v.hi)})" for v in got]
     with capsys.disabled():
         _verdict(
             3,
             ok,
-            f"stream a,d,c,a -> {[str(v) for v in got]} in {elapsed:.3f}s (<1s)",
+            f"stream a,d,c,a -> {shown} in {elapsed:.3f}s (<1s)",
         )
 
 
@@ -237,9 +236,7 @@ def _check_shrinkage(model) -> int:
     return sum(
         1
         for (src, _), dst in automaton.edges.items()
-        if not automaton.nodes[dst].interval.issubset(
-            automaton.nodes[src].interval.decrement()
-        )
+        if not issubset(automaton.nodes[dst].interval, decrement(automaton.nodes[src].interval))
     )
 
 

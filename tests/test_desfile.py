@@ -85,7 +85,13 @@ def test_hash_in_names_is_rejected():
 def test_unwritable_state_is_refused():
     # z is not initial, not faulty and in no transition: no line of the
     # format could carry it, so writing the model must fail, naming z.
-    model = make_model([("a", True)], [("x", "a", "x")], "x", states=["z"])
+    model = DesModel(
+        states=("x", "z"),
+        events=(Event("a", True),),
+        transitions=((0, 0, 0),),
+        initial=0,
+        faulty=frozenset(),
+    )
     with pytest.raises(ValueError, match="state z"):
         serialize_model(model)
 
@@ -220,7 +226,7 @@ def test_escapable_fault_set_rejected_then_closed():
     )
     with pytest.raises(InvalidModelError) as exc:
         parse_model(text)
-    codes = {f.code for f in exc.value.report.findings}
+    codes = {f.code for f in exc.value.findings}
     assert FAULT_CLOSURE in codes
     model = parse_model(text, close_faults=True)
     assert {model.states[q] for q in model.faulty} == {"B", "C"}

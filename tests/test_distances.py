@@ -9,6 +9,8 @@ import pytest
 
 from faultcast import (
     INF,
+    DesModel,
+    Event,
     Interval,
     compute_avoid_set,
     compute_distances,
@@ -34,8 +36,6 @@ def test_plant_distance_table(plant):
         "A": INF, "B": INF, "C": INF, "D": INF, "E": 2, "F": 1, "G": 0,
     }
     assert {plant.states[q] for q in table.avoid} == {"A", "B", "C", "D"}
-    assert table.interval(plant.state_index["E"]) == Interval(2, 2)
-    assert table.interval(plant.state_index["A"]) == Interval(3, INF)
 
 
 def test_short_fuse_distance_table(fuse_short):
@@ -73,7 +73,6 @@ def test_unobservable_step_into_fault_set():
     x = m.state_index["X"]
     assert table.dmin[x] == 0
     assert table.dmax[x] == 1
-    assert table.interval(x) == Interval(0, 1)
 
 
 def test_dmin_handles_unobservable_chains():
@@ -160,7 +159,7 @@ def test_distance_invariants_on_random_models():
             # dmax is infinite exactly on the avoid set (for non-faulty).
             assert (dmax == INF and q not in model.faulty) == (q in table.avoid)
             # The interval constructor accepts every row.
-            table.interval(q)
+            Interval(dmin, dmax)
 
 
 def test_distances_agree_with_oracle_on_random_models():
@@ -176,15 +175,21 @@ def test_distances_agree_with_oracle_on_random_models():
 def _unvalidated_model(rng):
     # What --no-validate lets through: any out-degree, none included, fault
     # states that lead back out, and silent moves anywhere, cycles too.
-    states = [f"q{k}" for k in range(rng.randint(1, 9))]
-    events = [("a", True), ("b", rng.random() < 0.5), ("t", False)]
-    faulty = [q for q in states[1:] if rng.random() < 0.3]
+    n = rng.randint(1, 9)
+    events = (Event("a", True), Event("b", rng.random() < 0.5), Event("t", False))
+    faulty = frozenset(q for q in range(1, n) if rng.random() < 0.3)
     transitions = [
-        (q, rng.choice("abt"), rng.choice(states))
-        for q in states
+        (q, rng.randrange(3), rng.randrange(n))
+        for q in range(n)
         for _ in range(rng.randint(0, 3))
     ]
-    return make_model(events, transitions, "q0", faulty, states)
+    return DesModel(
+        states=tuple(f"q{k}" for k in range(n)),
+        events=events,
+        transitions=tuple(dict.fromkeys(transitions)),
+        initial=0,
+        faulty=faulty,
+    )
 
 
 def _invalid_kinds(model):

@@ -113,8 +113,8 @@ def test_random_models_satisfy_invariants():
     rng = random.Random(123)
     for _ in range(60):
         model = random_live_model(rng, OracleConfig())
-        report = validate(model)
-        assert report.ok, report.findings
+        findings = validate(model)
+        assert not findings, findings
         assert model.initial == 0
         assert model.initial not in model.faulty
         assert model.events[0].observable

@@ -10,6 +10,7 @@ import pytest
 from faultcast import (
     INF,
     DesModel,
+    Event,
     Interval,
     InvalidIntervalError,
     PredictionSession,
@@ -29,6 +30,7 @@ from faultcast.oracle import (
     oracle_product_is_ij_predictable,
 )
 
+from helpers import is_proper_subset
 from randmodels import OracleConfig, _draw_model, random_live_model, sample_run
 
 
@@ -42,7 +44,7 @@ def scan_is_ij_predictable(frontier, i, j):
     if i > frontier.dmin_init:
         return QueryVerdict(False, None)
     for entry in frontier.hulls:
-        if query.is_proper_subset(entry.interval):
+        if is_proper_subset(query, entry.interval):
             return QueryVerdict(False, entry)
     return QueryVerdict(True, None)
 
@@ -393,14 +395,15 @@ def _renamed_events(model, rng):
     fresh = [f"ev{k}" for k in range(len(names))]
     rng.shuffle(fresh)
     rename = dict(zip(names, fresh))
-    declared = [(rename[e.name], e.observable) for e in model.events]
+    declared = [Event(rename[e.name], e.observable) for e in model.events]
     rng.shuffle(declared)
-    moved = make_model(
-        declared,
-        [(model.states[s], rename[names[e]], model.states[d]) for s, e, d in model.transitions],
-        model.states[model.initial],
-        [model.states[q] for q in model.faulty],
+    index = {e.name: k for k, e in enumerate(declared)}
+    moved = DesModel(
         states=model.states,
+        events=tuple(declared),
+        transitions=tuple((s, index[rename[names[e]]], d) for s, e, d in model.transitions),
+        initial=model.initial,
+        faulty=model.faulty,
     )
     return moved, rename
 
@@ -447,3 +450,67 @@ def test_renaming_and_reordering_events_changes_only_the_names():
             (ca.nodes[s].mask, rename[model.events[e].name], ca.nodes[d].mask)
             for (s, e), d in ca.edges.items()
         }
+
+
+def _duplicated_event(model, rng):
+    """The same model with one more observable event, last in the event
+    list, that has the same transitions as a random observable event;
+    returns it with the indices of that event and of its copy."""
+    original = rng.choice([e for e, event in enumerate(model.events) if event.observable])
+    copy = len(model.events)
+    moved = replace(
+        model,
+        events=(*model.events, Event("copy", True)),
+        transitions=(
+            *model.transitions,
+            *((s, copy, d) for s, e, d in model.transitions if e == original),
+        ),
+    )
+    return moved, original, copy
+
+
+def test_duplicating_an_observable_label_changes_nothing():
+    rng = random.Random(103)
+    config = OracleConfig(max_states=12)
+    for _ in range(300):
+        model = random_live_model(rng, config)
+        moved, original, copy = _duplicated_event(model, rng)
+
+        a, b = analyze(model), analyze(moved)
+        assert (b.table.dmin, b.table.dmax) == (a.table.dmin, a.table.dmax)
+        assert b.twin.pairs == a.twin.pairs
+        fa, fb = a.frontier, b.frontier
+        assert (fb.p, fb.dmin_init, fb.vacuous) == (fa.p, fa.dmin_init, fa.vacuous)
+        assert [(e.interval, e.pair) for e in fb.hulls] == [(e.interval, e.pair) for e in fa.hulls]
+        for i, promises in _dense_grid(fa, len(model.states)):
+            for j in promises:
+                va, vb = is_ij_predictable(fa, i, j), is_ij_predictable(fb, i, j)
+                assert va.predictable == vb.predictable, (model, i, j)
+                assert (va.blocking is None) == (vb.blocking is None), (model, i, j)
+                if va.blocking is not None:
+                    assert (vb.blocking.interval, vb.blocking.pair) == (
+                        va.blocking.interval, va.blocking.pair
+                    )
+
+        # The copy is fed at random in place of the original.
+        _, events = sample_run(model, rng, 15)
+        observed = [e for e in events if model.events[e].observable]
+        fed = [copy if e == original and rng.random() < 0.5 else e for e in observed]
+        sa, sb = PredictionSession(model), PredictionSession(moved)
+        assert [sb.feed(e) for e in fed] == [sa.feed(e) for e in observed]
+
+        ca, cb = compile_predictor(model), compile_predictor(moved)
+        assert {n.mask for n in cb.nodes} == {n.mask for n in ca.nodes}
+        assert cb.nodes[cb.initial].mask == ca.nodes[ca.initial].mask
+
+        def edges(automaton, wanted):
+            return {
+                (automaton.nodes[s].mask, e, automaton.nodes[d].mask)
+                for (s, e), d in automaton.edges.items()
+                if e in wanted
+            }
+
+        others = set(range(copy))
+        assert edges(cb, others) == edges(ca, others)
+        on_copy = {(s, original, d) for s, _, d in edges(cb, {copy})}
+        assert on_copy == edges(cb, {original})
