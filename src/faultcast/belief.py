@@ -11,28 +11,29 @@ is contained in the old one shifted by one observation.
 A belief is a bit mask over the states; its successor on an event is the
 union of its members' rows in the model's closed-successor table, and an
 empty union means no run explains the event.  One engine, the observer
-(subset) construction built lazily, numbers beliefs as found and memoizes
-the edges between them; a revisited edge costs a dict lookup.  Each
-belief is read once, when found: the read gives its interval, and the
-engine keeps the part of it that gives its successors.  A dense mask,
-with at least one member per byte on average, is read in at most
-ceil(n/8) lookups of memoized byte entries (the method of four
+(subset) construction built lazily, makes each belief a node when found
+and memoizes the edges between nodes; a revisited edge costs a dict
+lookup.  Each belief is read once, when found: the read gives its
+interval, and its node keeps the part of it that gives its successors.
+A dense mask, with at least one member per byte on average, is read in
+at most ceil(n/8) lookups of memoized byte entries (the method of four
 Russians), which give its successor on every observable event, its
 interval and its witnesses without decoding it.  A sparse mask is read
 by one pass over its members.  Every interval comes from the model's
 own distance table.  Sessions share the one engine a model keeps, which
-starts new tables at DEFAULT_NODE_CAP beliefs; compile_predictor expands
-an engine of its own, reads each belief once, takes its successors on
-every event in one pass (a sparse one from its members' move lists),
-and refuses past its cap.  The mask is the belief: a BeliefState holds
-it and decodes its member set on first read, so compiling builds no sets.
+starts anew at DEFAULT_NODE_CAP beliefs; a session holds its node, so
+one left behind steps on from it.  compile_predictor reads each belief
+once with an engine of its own, takes its successors on every event in
+one pass (a sparse one from its members' move lists), and refuses past
+its cap.  The mask is the belief: a BeliefState holds it and decodes its
+member set on first read, so compiling builds no sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import compress
+from itertools import compress, count
 from operator import itemgetter, or_
 from typing import Mapping, Union
 
@@ -97,10 +98,21 @@ def _sparse_members(mask: int) -> list[int]:
     return members
 
 
+class _Node:
+    """A found belief: a serial never reused, its mask, row and interval."""
+
+    __slots__ = ("serial", "mask", "row", "interval")
+
+    def __init__(self, serial: int, mask: int, row: int | list[int], interval: Interval):
+        self.serial, self.mask, self.row, self.interval = serial, mask, row, interval
+
+
 class _BeliefEngine:
-    """The beliefs of one model found so far, numbered in discovery order,
-    the row each kept from its one read (what successor needs of it), and
-    their memoized edges, keyed by node * len(events) + event.
+    """The beliefs of one model found so far, as nodes by mask, each with
+    the row its one read left (what successor needs of it), and their
+    memoized edges, keyed by node serial * len(events) + event.  A full
+    engine starts both dicts anew; a session holding an old node then
+    misses in the new edges and steps on from that node's row.
 
     A dense mask is read a byte at a time: the entry of a (byte position,
     byte value) holds, for the at most 8 states of that byte, the OR of
@@ -123,27 +135,21 @@ class _BeliefEngine:
         self._packed: list[int | None] = [None] * n  # per state, its rows n bits apart
         self._moves: list[list | None] = [None] * n  # per state, its (event, row) moves
         self._keys = range(0, 256 * ((n + 7) // 8), 256)
-        self.index: dict[int, int] = {}
-        self.masks: list[int] = []
-        self.node_rows: list[int | list[int]] = []
-        self.intervals: list[Interval] = []
-        self.edges: dict[int, int] = {}
+        self.index: dict[int, _Node] = {}
+        self.edges: dict[int, _Node] = {}
+        self._serials = count()
         self._shared: dict[tuple, Interval] = {}  # one Interval per (lo, hi)
         self.start = sum(1 << q for q in unobservable_closure(model, (model.initial,)))
 
-    def node(self, mask: int) -> int:
+    def node(self, mask: int) -> _Node:
         """The node of a belief mask, added when new, after a flush when full."""
         node = self.index.get(mask)
         if node is None:
-            if len(self.masks) >= DEFAULT_NODE_CAP:
-                # New tables, not cleared: sessions still read their nodes in the old.
+            if len(self.index) >= DEFAULT_NODE_CAP:
                 self.index, self.edges = {}, {}
-                self.masks, self.node_rows, self.intervals = [], [], []
-            node = self.index[mask] = len(self.masks)
             read = self.read(mask)
-            self.masks.append(mask)
-            self.node_rows.append(read[0])
-            self.intervals.append(self.interval(self.witnesses(read)))
+            interval = self.interval(self.witnesses(read))
+            node = self.index[mask] = _Node(next(self._serials), mask, read[0], interval)
         return node
 
     def interval(self, witnesses: tuple[int, int]) -> Interval:
@@ -213,24 +219,22 @@ class _BeliefEngine:
         # min and max keep the first extreme entry, and bytes ascend.
         return min(entries, key=_LO)[2], max(entries, key=_HI)[4]
 
-    def step(self, node: int, event: int) -> int:
+    def step(self, node: _Node, event: int) -> _Node:
         """The node after observing event at node, from its row; a new
         target first flushes the engine when it is full."""
         if not 0 <= event < self.width:
             raise ImpossibleObservationError(f"unknown event index: {event}")
-        nxt = self.edges.get(node * self.width + event)
+        key = node.serial * self.width + event
+        nxt = self.edges.get(key)
         if nxt is not None:
             return nxt
         name = self.model.events[event].name
         if self.rows[event] is None:
             raise ImpossibleObservationError(f"event {name} is not observable")
-        mask = self.successor(self.node_rows[node], event)
+        mask = self.successor(node.row, event)
         if not mask:
             raise ImpossibleObservationError(f"no run explains observing {name} here")
-        masks = self.masks
-        nxt = self.node(mask)
-        if self.masks is masks:  # not flushed, so node is still one of these tables
-            self.edges[node * self.width + event] = nxt
+        nxt = self.edges[key] = self.node(mask)  # into the new dict if node() flushed
         return nxt
 
 
@@ -248,12 +252,11 @@ class PredictionSession:
         self._engine = model.belief_engine
         self.table: DistanceTable = self._engine.table
         self._node = self._engine.node(self._engine.start)
-        self._masks = self._engine.masks  # the tables that self._node indexes
-        self.interval: Interval = self._engine.intervals[self._node]
+        self.interval: Interval = self._node.interval
 
     @property
     def belief(self) -> BeliefState:
-        mask, engine = self._masks[self._node], self._engine
+        mask, engine = self._node.mask, self._engine
         return BeliefState(mask, self.interval, engine.witnesses(engine.read(mask)))
 
     def feed(self, event: Union[int, str]) -> Interval:
@@ -264,12 +267,9 @@ class PredictionSession:
             event = index
         elif not isinstance(event, int) or isinstance(event, bool):
             raise ImpossibleObservationError(f"not an event name or index: {event!r}")
-        engine, node = self._engine, self._node
-        if self._masks is not engine.masks:  # flushed since this session's last step
-            node = engine.node(self._masks[node])
-        self._node = node = engine.step(node, event)
-        self._masks, self.interval = engine.masks, engine.intervals[node]
-        return self.interval
+        self._node = node = self._engine.step(self._node, event)
+        self.interval = node.interval
+        return node.interval
 
 
 @dataclass(frozen=True)
@@ -292,25 +292,24 @@ def compile_predictor(model: DesModel, cap: int = DEFAULT_NODE_CAP) -> BeliefAut
     engine = _BeliefEngine(model, model.distance_table)
     # Each node's witnesses, kept for its BeliefState: a refused compile
     # builds none, and two lists of ints hold less than a list of pairs.
-    lows, highs = [], []
+    masks, intervals, lows, highs = [engine.start], [], [], []
+    index = {engine.start: 0}
     edges: dict[tuple[int, int], int] = {}
-    engine.index[engine.start] = 0
-    engine.masks.append(engine.start)
-    for node, mask in enumerate(engine.masks):  # grows as beliefs are found
+    for node, mask in enumerate(masks):  # grows as beliefs are found
         # A node gets its interval here, not when found, so that one read
         # of it gives both its successors and its witnesses: no row is kept.
         read = engine.read(mask)
         lo, hi = engine.witnesses(read)
-        engine.intervals.append(engine.interval((lo, hi)))
+        intervals.append(engine.interval((lo, hi)))
         lows.append(lo)
         highs.append(hi)
         for event, target in engine.successors(read[0]):
-            nxt = engine.index.get(target)
+            nxt = index.get(target)
             if nxt is None:
-                if len(engine.masks) >= cap:
-                    raise CapExceededError(cap, len(engine.masks))
-                nxt = engine.index[target] = len(engine.masks)
-                engine.masks.append(target)
+                if len(masks) >= cap:
+                    raise CapExceededError(cap, len(masks))
+                nxt = index[target] = len(masks)
+                masks.append(target)
             edges[node, event] = nxt
-    nodes = tuple(map(BeliefState, engine.masks, engine.intervals, zip(lows, highs)))
+    nodes = tuple(map(BeliefState, masks, intervals, zip(lows, highs)))
     return BeliefAutomaton(nodes=nodes, edges=edges, initial=0)

@@ -41,10 +41,10 @@ _TOKEN = re.compile(r"\S+")
 class ModelDocument:
     """The raw directives of one file, before index assignment."""
 
-    events: tuple[tuple[str, bool, int, int], ...]
-    initial: tuple[str, int, int]
-    faults: tuple[tuple[str, int, int], ...]
-    transitions: tuple[tuple[str, str, str, int, int], ...]
+    events: tuple[tuple[str, bool], ...]  # (name, observable)
+    initial: str
+    faults: tuple[str, ...]
+    transitions: tuple[tuple[str, str, str, int, int], ...]  # with line, column
 
 
 def parse_document(text: str) -> ModelDocument:
@@ -64,10 +64,10 @@ def parse_document(text: str) -> ModelDocument:
         _, line, column = head[0]
         raise ModelSyntaxError("first directive must be exactly: des v1", line, column)
 
-    events: list[tuple[str, bool, int, int]] = []
+    events: list[tuple[str, bool]] = []
     declared: dict[str, int] = {}
     initial: tuple[str, int, int] | None = None
-    faults: list[tuple[str, int, int]] = []
+    faults: list[str] = []
     transitions: list[tuple[str, str, str, int, int]] = []
 
     for row in rows[1:]:
@@ -85,7 +85,7 @@ def parse_document(text: str) -> ModelDocument:
                         name_column,
                     )
                 declared[name] = name_line
-                events.append((name, keyword == "obs", name_line, name_column))
+                events.append((name, keyword == "obs"))
         elif keyword == "init":
             if len(args) != 1:
                 raise ModelSyntaxError(
@@ -101,7 +101,7 @@ def parse_document(text: str) -> ModelDocument:
                 raise ModelSyntaxError(
                     "fault needs at least one state name", line, column
                 )
-            faults.extend(args)
+            faults.extend(name for name, _, _ in args)
         elif keyword == "trans":
             if len(args) != 3:
                 raise ModelSyntaxError(
@@ -116,7 +116,7 @@ def parse_document(text: str) -> ModelDocument:
         raise ModelSyntaxError("missing init directive", len(lines) or 1)
     return ModelDocument(
         events=tuple(events),
-        initial=initial,
+        initial=initial[0],
         faults=tuple(faults),
         transitions=tuple(transitions),
     )
@@ -128,15 +128,15 @@ def document_to_model(doc: ModelDocument) -> DesModel:
     make_model assigns the indices; an undeclared event is reported here,
     at its transition's line and column.
     """
-    declared = {name for name, _, _, _ in doc.events}
+    declared = {name for name, _ in doc.events}
     for _, event, _, line, column in doc.transitions:
         if event not in declared:
             raise ModelSyntaxError(f"undeclared event: {event}", line, column)
     return make_model(
-        [(name, observable) for name, observable, _, _ in doc.events],
+        doc.events,
         [(src, event, dst) for src, event, dst, _, _ in doc.transitions],
-        doc.initial[0],
-        [name for name, _, _ in doc.faults],
+        doc.initial,
+        doc.faults,
     )
 
 

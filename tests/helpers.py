@@ -1,4 +1,5 @@
-"""Interval containment and decrement, and the two fuse models, for tests.
+"""Interval containment and decrement, the two fuse models, and small
+readers of models and state sets, for tests.
 
 A plain helper module of the test suite, imported as `helpers`; the
 package never imports it.  The interval functions state how promises
@@ -36,6 +37,22 @@ def _dec(value: ExtNat) -> ExtNat:
     if value == INF or value == 0:
         return value
     return value - 1
+
+
+def by_state_name(model: DesModel, values) -> dict:
+    """Per-state values keyed by state name."""
+    return {model.states[q]: v for q, v in enumerate(values)}
+
+
+def mask_of(states) -> int:
+    """The bit mask of a set of state indexes."""
+    return sum(1 << q for q in states)
+
+
+def is_deterministic(model: DesModel) -> bool:
+    """No state has two transitions on one event."""
+    moves = {(src, ev) for src, ev, _ in model.transitions}
+    return len(moves) == len(set(model.transitions))
 
 
 def short_fuse() -> DesModel:

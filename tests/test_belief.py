@@ -29,7 +29,7 @@ from faultcast.belief import _BeliefEngine
 from faultcast.cli import _automaton_json, main
 from faultcast.oracle import oracle_beliefs
 
-from helpers import decrement, issubset
+from helpers import decrement, issubset, mask_of
 from randmodels import OracleConfig, random_live_model, sample_run
 
 
@@ -426,16 +426,16 @@ def _check_sessions(seed, count, cap):
             belief = _closure(model, [model.initial])
             for event in stream:
                 belief = _image(model, belief, event)
-                nodes, edges = len(engine.masks), len(engine.edges)
+                nodes, edges = len(engine.index), len(engine.edges)
                 got = session.feed(event)
-                flushes += len(engine.masks) < nodes
+                flushes += len(engine.index) < nodes
                 hits += len(engine.edges) == edges
                 lo_w, hi_w = _witnesses(table, belief)
                 assert got == session.interval
                 assert got == Interval(table.dmin[lo_w], table.dmax[hi_w])
                 assert session.belief.members == belief
                 assert session.belief.witnesses == (lo_w, hi_w)
-                assert len(engine.masks) <= cap
+                assert len(engine.index) <= cap
     return hits, flushes
 
 
@@ -461,7 +461,7 @@ def _assert_tracks(session, table, belief):
 
 def test_interleaved_sessions_share_one_engine_across_flushes(monkeypatch):
     # Round-robin feeds make one session flush the model's engine while the
-    # others still hold nodes of the old tables.
+    # others still hold nodes it no longer indexes.
     monkeypatch.setattr(faultcast.belief, "DEFAULT_NODE_CAP", 4)
     flushes = 0
     for rng, model in _random_models(59, 60, max_states=40):
@@ -475,15 +475,18 @@ def test_interleaved_sessions_share_one_engine_across_flushes(monkeypatch):
             for k, (session, stream) in enumerate(zip(sessions, streams)):
                 if step >= len(stream):
                     continue
-                masks = engine.masks
-                # A rejected event, also from a session holding old tables,
+                index = engine.index
+                # A rejected event, also from a session holding an old node,
                 # changes nothing.
                 with pytest.raises(ImpossibleObservationError):
                     session.feed(len(model.events))
                 beliefs[k] = _image(model, beliefs[k], stream[step])
                 assert session.feed(stream[step]) == session.interval
-                flushes += engine.masks is not masks
-                assert len(engine.masks) <= 4
+                flushes += engine.index is not index
+                assert len(engine.index) <= 4
+                # Every memoized edge leads to an indexed node, so a flush
+                # leaves nothing of the old nodes but those sessions hold.
+                assert all(engine.index.get(n.mask) is n for n in engine.edges.values())
                 for other, belief in zip(sessions, beliefs):
                     _assert_tracks(other, table, belief)
     assert flushes > 100
@@ -507,7 +510,7 @@ def test_sessions_share_the_model_caches(monkeypatch):
     engine = model.belief_engine
     assert all(s.table is built[0] and s._engine is engine for s in sessions)
     # The first feed found the edge; the other nine were dict hits.
-    assert len(engine.masks) == 2 and len(engine.edges) == 1
+    assert len(engine.index) == 2 and len(engine.edges) == 1
 
 
 def test_compile_ignores_session_state(monkeypatch, capsys, tmp_path):
@@ -572,11 +575,11 @@ def test_each_belief_is_read_once(monkeypatch, cap):
         for stream in _looping_streams(model, rng, 3):
             session = PredictionSession(model)
             for event in stream:
-                masks = engine.masks
+                index = engine.index
                 session.feed(event)
-                flushes += engine.masks is not masks
+                flushes += engine.index is not index
                 assert reads == added
-                assert len(engine.node_rows) == len(engine.masks)
+                assert all(node.mask == mask for mask, node in engine.index.items())
         reads.clear()
         added.clear()
         automaton = compile_predictor(model)
@@ -586,10 +589,6 @@ def test_each_belief_is_read_once(monkeypatch, cap):
 
 
 # -- the byte tables against a member loop ---------------------------------
-
-
-def _mask(states):
-    return sum(1 << q for q in states)
 
 
 def _check_reads(engine, model, table, masks):
@@ -606,7 +605,7 @@ def _check_reads(engine, model, table, masks):
         else:
             dense += 1
         for event in observable:
-            assert engine.successor(row, event) == _mask(_image(model, belief, event))
+            assert engine.successor(row, event) == mask_of(_image(model, belief, event))
         lo_w, hi_w = _witnesses(table, belief)
         assert engine.witnesses(read) == (lo_w, hi_w)
         bounds = min(table.dmin[q] for q in belief), max(table.dmax[q] for q in belief)
@@ -645,7 +644,7 @@ def test_byte_tables_match_a_member_loop_at_every_width():
             masks.append(full >> (n - 1) // 8 * 8 << (n - 1) // 8 * 8)
             for _ in range(20):
                 masks.append(rng.randrange(1, full + 1))  # mostly dense
-                masks.append(_mask(rng.sample(range(n), rng.randint(1, max(1, n // 16)))))
+                masks.append(mask_of(rng.sample(range(n), rng.randint(1, max(1, n // 16)))))
             masks = [mask for mask in masks if mask]
             engine = _BeliefEngine(model, table)
             dense, sparse = _check_reads(engine, model, table, masks)
@@ -663,7 +662,7 @@ def test_byte_tables_match_a_member_loop_on_reachable_beliefs():
     for _, model in _random_models(64, 120, max_states=40):
         table = compute_distances(model)
         order, _ = _subset_construction(model)
-        masks = [_mask(belief) for belief in order]
+        masks = [mask_of(belief) for belief in order]
         got = _check_reads(_BeliefEngine(model, table), model, table, masks)
         dense += got[0]
         sparse += got[1]

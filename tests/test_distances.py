@@ -20,19 +20,16 @@ from faultcast import (
 )
 from faultcast.oracle import oracle_avoid_set, oracle_dmax, oracle_dmin
 
+from helpers import by_state_name
 from randmodels import OracleConfig, random_live_model
-
-
-def _by_name(model, values):
-    return {model.states[q]: values[q] for q in range(len(model.states))}
 
 
 def test_plant_distance_table(plant):
     table = compute_distances(plant)
-    assert _by_name(plant, table.dmin) == {
+    assert by_state_name(plant, table.dmin) == {
         "A": 3, "B": 3, "C": 3, "D": 2, "E": 2, "F": 1, "G": 0,
     }
-    assert _by_name(plant, table.dmax) == {
+    assert by_state_name(plant, table.dmax) == {
         "A": INF, "B": INF, "C": INF, "D": INF, "E": 2, "F": 1, "G": 0,
     }
     assert {plant.states[q] for q in table.avoid} == {"A", "B", "C", "D"}
@@ -40,15 +37,15 @@ def test_plant_distance_table(plant):
 
 def test_short_fuse_distance_table(fuse_short):
     table = compute_distances(fuse_short)
-    assert _by_name(fuse_short, table.dmin) == {"S0": 2, "S1": 1, "S2": 0}
-    assert _by_name(fuse_short, table.dmax) == {"S0": INF, "S1": 1, "S2": 0}
+    assert by_state_name(fuse_short, table.dmin) == {"S0": 2, "S1": 1, "S2": 0}
+    assert by_state_name(fuse_short, table.dmax) == {"S0": INF, "S1": 1, "S2": 0}
     assert {fuse_short.states[q] for q in table.avoid} == {"S0"}
 
 
 def test_long_fuse_distance_table(fuse_long):
     table = compute_distances(fuse_long)
-    assert _by_name(fuse_long, table.dmin) == {"A": 3, "B": 2, "C": 1, "D": 1, "E": 0}
-    assert _by_name(fuse_long, table.dmax) == {"A": INF, "B": 3, "C": 2, "D": 1, "E": 0}
+    assert by_state_name(fuse_long, table.dmin) == {"A": 3, "B": 2, "C": 1, "D": 1, "E": 0}
+    assert by_state_name(fuse_long, table.dmax) == {"A": INF, "B": 3, "C": 2, "D": 1, "E": 0}
     assert {fuse_long.states[q] for q in table.avoid} == {"A"}
 
 

@@ -23,6 +23,7 @@ from faultcast.model import (
     OBSERVATION_LIVENESS,
 )
 
+from helpers import mask_of
 from randmodels import OracleConfig, random_live_model, sample_run
 
 
@@ -207,10 +208,6 @@ def test_unobservable_closure(plant, fan2):
     assert unobservable_closure(fan2, [f["B1"]]) == frozenset({f["B1"], f["C"]})
 
 
-def _mask(states):
-    return sum(1 << q for q in states)
-
-
 def _successors(model, q, ev):
     # The targets of q on ev, in transition order, read from the transitions.
     return tuple(t for s, e, t in model.transitions if (s, e) == (q, ev))
@@ -247,7 +244,7 @@ def test_closed_successor_masks_match_closures():
                 continue
             for q in range(len(model.states)):
                 targets = unobservable_closure(model, _successors(model, q, ev))
-                assert row[q] == _mask(targets)
+                assert row[q] == mask_of(targets)
 
 
 def test_move_tables_expand_back_to_the_transitions():

@@ -19,18 +19,15 @@ from faultcast.oracle import (
     oracle_product_is_ij_predictable,
 )
 
+from helpers import by_state_name, is_deterministic
 from randmodels import OracleConfig, random_live_model, sample_run
 
 
-def _by_name(model, values):
-    return {model.states[q]: v for q, v in enumerate(values)}
-
-
 def test_plant_oracle_distances(plant):
-    assert _by_name(plant, oracle_dmin(plant)) == {
+    assert by_state_name(plant, oracle_dmin(plant)) == {
         "A": 3, "B": 3, "C": 3, "D": 2, "E": 2, "F": 1, "G": 0,
     }
-    assert _by_name(plant, oracle_dmax(plant)) == {
+    assert by_state_name(plant, oracle_dmax(plant)) == {
         "A": INF, "B": INF, "C": INF, "D": INF, "E": 2, "F": 1, "G": 0,
     }
     assert {plant.states[q] for q in oracle_avoid_set(plant)} == {
@@ -39,16 +36,16 @@ def test_plant_oracle_distances(plant):
 
 
 def test_fuse_oracle_distances(fuse_short, fuse_long):
-    assert _by_name(fuse_short, oracle_dmin(fuse_short)) == {
+    assert by_state_name(fuse_short, oracle_dmin(fuse_short)) == {
         "S0": 2, "S1": 1, "S2": 0,
     }
-    assert _by_name(fuse_short, oracle_dmax(fuse_short)) == {
+    assert by_state_name(fuse_short, oracle_dmax(fuse_short)) == {
         "S0": INF, "S1": 1, "S2": 0,
     }
-    assert _by_name(fuse_long, oracle_dmin(fuse_long)) == {
+    assert by_state_name(fuse_long, oracle_dmin(fuse_long)) == {
         "A": 3, "B": 2, "C": 1, "D": 1, "E": 0,
     }
-    assert _by_name(fuse_long, oracle_dmax(fuse_long)) == {
+    assert by_state_name(fuse_long, oracle_dmax(fuse_long)) == {
         "A": INF, "B": 3, "C": 2, "D": 1, "E": 0,
     }
 
@@ -161,14 +158,9 @@ def test_generator_population_is_varied():
     assert any(not model.faulty for model in models)
     assert any(_all_observable(model) for model in models)
     assert any(not _all_observable(model) for model in models)
-    assert any(_deterministic(model) for model in models)
-    assert any(not _deterministic(model) for model in models)
+    assert any(is_deterministic(model) for model in models)
+    assert any(not is_deterministic(model) for model in models)
 
 
 def _all_observable(model):
     return all(event.observable for event in model.events)
-
-
-def _deterministic(model):
-    moves = {(src, ev) for src, ev, _ in model.transitions}
-    return len(moves) == len(set(model.transitions))

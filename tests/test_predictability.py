@@ -21,6 +21,7 @@ from faultcast import (
     is_i_predictable,
     is_ij_predictable,
     make_model,
+    validate,
 )
 from faultcast.oracle import (
     oracle_dmax,
@@ -514,3 +515,56 @@ def test_duplicating_an_observable_label_changes_nothing():
         assert edges(cb, others) == edges(ca, others)
         on_copy = {(s, original, d) for s, _, d in edges(cb, {copy})}
         assert on_copy == edges(cb, {original})
+
+
+def _with_unreachable_copy(model):
+    """The same model with a renamed copy of every state and transition
+    appended, which nothing in the original reaches."""
+    n = len(model.states)
+    return replace(
+        model,
+        states=(*model.states, *(f"{name}_copy" for name in model.states)),
+        transitions=(*model.transitions, *((s + n, e, d + n) for s, e, d in model.transitions)),
+        faulty=model.faulty | {q + n for q in model.faulty},
+    )
+
+
+def test_appending_an_unreachable_copy_changes_nothing():
+    # Vacuous models are left out: their frontier has one row per state
+    # plus one, so the copy lengthens it.
+    rng = random.Random(104)
+    config = OracleConfig(max_states=12)
+    checked = 0
+    for _ in range(260):
+        model = random_live_model(rng, config)
+        moved = _with_unreachable_copy(model)
+        assert validate(moved) == ()
+        a, b = analyze(model), analyze(moved)
+        if a.frontier.vacuous:
+            continue
+        checked += 1
+
+        n = len(model.states)
+        assert (b.table.dmin[:n], b.table.dmax[:n]) == (a.table.dmin, a.table.dmax)
+        assert b.twin.pairs == a.twin.pairs
+        fa, fb = a.frontier, b.frontier
+        assert (fb.p, fb.dmin_init, fb.vacuous) == (fa.p, fa.dmin_init, fa.vacuous)
+        assert [(e.interval, e.pair) for e in fb.hulls] == [(e.interval, e.pair) for e in fa.hulls]
+        for i, promises in _dense_grid(fa, n):
+            for j in promises:
+                va, vb = is_ij_predictable(fa, i, j), is_ij_predictable(fb, i, j)
+                assert va.predictable == vb.predictable, (model, i, j)
+                assert (va.blocking is None) == (vb.blocking is None), (model, i, j)
+                if va.blocking is not None:
+                    assert (vb.blocking.interval, vb.blocking.pair) == (
+                        va.blocking.interval, va.blocking.pair
+                    )
+
+        _, events = sample_run(model, rng, 15)
+        observed = [e for e in events if model.events[e].observable]
+        sa, sb = PredictionSession(model), PredictionSession(moved)
+        assert [sb.feed(e) for e in observed] == [sa.feed(e) for e in observed]
+
+        # No belief holds a copied state, so the automata are equal outright.
+        assert compile_predictor(moved) == compile_predictor(model)
+    assert checked >= 100

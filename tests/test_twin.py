@@ -20,6 +20,7 @@ from faultcast import (
 )
 from faultcast.oracle import oracle_pairs
 
+from helpers import is_deterministic
 from randmodels import OracleConfig, random_live_model
 
 
@@ -86,15 +87,10 @@ def _bfs_depths(model):
     return depth
 
 
-def _deterministic(model):
-    moves = {(src, ev) for src, ev, _ in model.transitions}
-    return len(moves) == len(set(model.transitions))
-
-
 def _assert_only_the_diagonal(model):
     # Every observation pins the state, so the pair search reaches only the
     # diagonal of the reachable states, each by a breadth-first path.
-    assert _deterministic(model)
+    assert is_deterministic(model)
     assert all(event.observable for event in model.events)
     twin = build_twin(model, witnesses=True)
     depth = _bfs_depths(model)
@@ -136,7 +132,7 @@ def test_nondeterminism_confuses_states_with_every_event_observable():
         "I",
     )
     assert all(event.observable for event in m.events)
-    assert not _deterministic(m)
+    assert not is_deterministic(m)
     twin = build_twin(m)
     s = m.state_index
     assert twin.related(s["P"], s["Q"])
