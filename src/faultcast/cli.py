@@ -29,7 +29,6 @@ from .errors import (
 from .families import GENERATORS
 from .intervals import INF, ExtNat, format_extnat, parse_extnat
 from .model import DesModel, validate
-from .oracle import oracle_dmax, oracle_dmin, oracle_is_ij_predictable
 from .predictability import analyze, is_ij_predictable
 from .twin import build_twin, reachable_edges, witness_observations
 
@@ -203,6 +202,7 @@ def _cmd_distances(args: argparse.Namespace) -> int:
     table = compute_distances(model)
     tables = {"states": (table.dmin, table.dmax)}
     if args.oracle:
+        from .oracle import oracle_dmax, oracle_dmin  # only --oracle loads the oracle
         tables["oracle"] = (oracle_dmin(model), oracle_dmax(model))
     # Per table, in print order, one (name, dmin, dmax) row per state.
     rows = {key: list(zip(model.states, dmin, dmax)) for key, (dmin, dmax) in tables.items()}
@@ -311,6 +311,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
     oracle_verdict = None
     if args.oracle:
+        from .oracle import oracle_is_ij_predictable
         oracle_verdict = oracle_is_ij_predictable(model, args.i, args.j)
 
     if args.format == "json":

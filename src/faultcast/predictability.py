@@ -14,13 +14,14 @@ time i it holds the tightest honest promise p[i], finite or not; a
 verdict, for a finite or an unbounded promise, reads p[i] and p[i - 1].
 The distinct pair hulls stay as the explanatory inventory: a refusal
 names the first of them, tightest lead time first, that strictly
-contains the query, found by a per-row lookup.
+contains the query, found by a per-row lookup.  A hull's witness is
+replayed from the twin's parent links only when it is read.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import attrgetter
 from typing import Optional
@@ -34,12 +35,18 @@ from .twin import Pair, TwinReachability, build_twin, witness_observations
 
 @dataclass(frozen=True)
 class HullEntry:
-    """One distinct pair hull: the interval, a pair achieving it, and an
-    optional shortest observation witness for that pair."""
+    """One distinct pair hull: the interval and a pair achieving it.  The
+    twin, outside equality and hashing, replays the witness on read."""
 
     interval: Interval
     pair: Pair
-    witness: tuple[int, ...] | None
+    twin: TwinReachability = field(repr=False, compare=False)
+
+    @property
+    def witness(self) -> tuple[int, ...] | None:
+        """A shortest observation sequence reaching the pair; None without links."""
+        links = self.twin.parents
+        return None if links is None else tuple(witness_observations(self.twin, self.pair))
 
 
 @dataclass(frozen=True)
@@ -73,6 +80,7 @@ def compute_frontier(
     by interval, keeping the least pair code, the first pair in canonical
     order, and listed by descending lower bound (ties by ascending upper
     bound), the order in which a refusal looks for its blocking hull.
+    p covers lead times 0 .. dmin(initial) < |Q|, or 0 .. |Q| with p[i] = i when fault-free.
     """
     dmin, dmax = table.dmin, table.dmax
     n = twin.size
@@ -93,15 +101,11 @@ def compute_frontier(
 
     dmin_init = table.dmin[model.initial]
     vacuous = dmin_init == INF
-    limit = len(model.states) if vacuous else min(len(model.states), int(dmin_init))
+    limit = len(model.states) if vacuous else dmin_init
     rows: list[list[HullEntry]] = [[] for _ in range(limit + 1)]
     hulls = []
     for lo, hi in sorted(first, key=lambda hull: (-hull[0], hull[1])):
-        pair = divmod(first[(lo, hi)], n)
-        witness: tuple[int, ...] | None = None
-        if twin.parents is not None:
-            witness = tuple(witness_observations(twin, pair))
-        entry = HullEntry(Interval(lo, hi), pair, witness)
+        entry = HullEntry(Interval(lo, hi), divmod(first[(lo, hi)], n), twin)
         hulls.append(entry)
         if lo <= limit:
             rows[lo].append(entry)

@@ -333,6 +333,19 @@ def test_query_oracle_cross_check(capsys, plant_file):
     assert "MATCH" in out
 
 
+def test_oracle_mismatch_exits_2(capsys, monkeypatch, plant_file):
+    # An oracle that disagrees: the answer is still printed, then MISMATCH.
+    monkeypatch.setattr("faultcast.oracle.oracle_is_ij_predictable", lambda model, i, j: True)
+    monkeypatch.setattr("faultcast.oracle.oracle_dmin", lambda model: (0,) * len(model.states))
+    code, out, _ = run_cli(capsys, "query", plant_file, "-i", "2", "-j", "2", "--oracle")
+    assert code == 2
+    assert out.splitlines() == ["not predictable", "oracle predictable", "MISMATCH"]
+    code, out, _ = run_cli(capsys, "distances", plant_file, "--oracle")
+    assert code == 2
+    assert "# oracle" in out
+    assert out.splitlines()[-1] == "MISMATCH"
+
+
 def test_query_json(capsys, plant_file):
     code, out, _ = run_cli(
         capsys, "query", plant_file, "-i", "2", "-j", "2",
@@ -576,7 +589,7 @@ def test_readme_library_tour_shows_real_values():
         value = eval(compile(ast.Expression(statement.value), "README.md", "eval"), namespace)
         assert comment == f"# {value!r}"
         shown += 1
-    assert shown == 7
+    assert shown == 8
 
 
 def test_package_exports_exactly_its_public_names():
@@ -588,6 +601,24 @@ def test_package_exports_exactly_its_public_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert sorted(faultcast.__all__) == sorted(bound)
+
+
+def test_cli_import_stays_off_the_oracle():
+    # Only --oracle needs the reference code; with only src on the path (no
+    # site-packages, no bytecode), importing the CLI must not load it.
+    src = str(Path(faultcast.__file__).parent.parent)
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import faultcast.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('faultcast')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-I", "-B", "-S", "-c", probe, src],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = ast.literal_eval(result.stdout)
+    assert "faultcast.cli" in loaded
+    assert "faultcast.oracle" not in loaded
 
 
 def _cli_env(unbuffered=""):

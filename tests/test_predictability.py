@@ -23,6 +23,7 @@ from faultcast import (
     make_model,
     validate,
 )
+from faultcast import predictability
 from faultcast.oracle import (
     oracle_dmax,
     oracle_dmin,
@@ -30,6 +31,7 @@ from faultcast.oracle import (
     oracle_pairs,
     oracle_product_is_ij_predictable,
 )
+from faultcast.twin import witness_observations
 
 from helpers import is_proper_subset
 from randmodels import OracleConfig, _draw_model, random_live_model, sample_run
@@ -184,6 +186,34 @@ def test_hull_choice_matches_the_oracle_pairs_on_random_models():
             assert twin.pairs == pairs
 
 
+def test_hull_witnesses_are_replayed_on_read(plant, monkeypatch):
+    # The frontier keeps no witnesses; each read replays the pair's parent
+    # links, and equality and hashing see only the interval and the pair.
+    calls = []
+
+    def counted(twin, pair):
+        calls.append(pair)
+        return witness_observations(twin, pair)
+
+    monkeypatch.setattr(predictability, "witness_observations", counted)
+    frontier = analyze(plant, witnesses=True).frontier
+    assert calls == []
+    entry = frontier.hulls[0]
+    first, again = entry.witness, entry.witness
+    assert first == again
+    assert calls == [entry.pair] * 2  # one replay per read, none kept
+
+    rng = random.Random(59)
+    for _ in range(200):
+        model = random_live_model(rng, OracleConfig())
+        kept, bare = analyze(model, witnesses=True), analyze(model)
+        for entry in kept.frontier.hulls:
+            assert entry.witness == tuple(witness_observations(kept.twin, entry.pair)), model
+        assert all(entry.witness is None for entry in bare.frontier.hulls), model
+        assert kept.frontier.hulls == bare.frontier.hulls
+        assert set(kept.frontier.hulls) == set(bare.frontier.hulls)
+
+
 def test_bad_queries_raise(plant_analysis):
     frontier = plant_analysis.frontier
     with pytest.raises(InvalidIntervalError):
@@ -312,6 +342,20 @@ def _dense_grid(frontier, n_states):
         yield i, [*range(i, max(i, top) + 1), INF]
 
 
+def _assert_same_verdicts(model, fa, fb, n_states):
+    """Both frontiers give the same verdict and blocking hull, interval and
+    pair, on the dense grid of fa, the frontier of model."""
+    for i, promises in _dense_grid(fa, n_states):
+        for j in promises:
+            va, vb = is_ij_predictable(fa, i, j), is_ij_predictable(fb, i, j)
+            assert va.predictable == vb.predictable, (model, i, j)
+            assert (va.blocking is None) == (vb.blocking is None), (model, i, j)
+            if va.blocking is not None:
+                assert (vb.blocking.interval, vb.blocking.pair) == (
+                    va.blocking.interval, va.blocking.pair
+                ), (model, i, j)
+
+
 def _random_models(seed, count):
     """Half valid random models, half unvalidated draws; every other draw
     also lets each faulty state step out of the fault set."""
@@ -332,6 +376,10 @@ def test_frontier_lookup_matches_the_hull_scan():
     refusals = blocked = 0
     for model in _random_models(55, 1000):
         frontier = analyze(model, witnesses=True).frontier
+        # One row per lead time up to dmin(initial); a finite dmin is at most
+        # |Q| - 1, so no row is cut off.
+        last_row = len(model.states) if frontier.vacuous else frontier.dmin_init
+        assert len(frontier.p) == last_row + 1, model
         horizon = None
         for i, promises in _dense_grid(frontier, len(model.states)):
             tightest = None
@@ -427,15 +475,7 @@ def test_renaming_and_reordering_events_changes_only_the_names():
         assert (fb.p, fb.dmin_init, fb.vacuous) == (fa.p, fa.dmin_init, fa.vacuous)
         assert [(e.interval, e.pair) for e in fb.hulls] == [(e.interval, e.pair) for e in fa.hulls]
         assert [e.witness for e in fb.hulls] == [renamed(e.witness) for e in fa.hulls]
-        for i, promises in _dense_grid(fa, len(model.states)):
-            for j in promises:
-                va, vb = is_ij_predictable(fa, i, j), is_ij_predictable(fb, i, j)
-                assert va.predictable == vb.predictable, (model, i, j)
-                assert (va.blocking is None) == (vb.blocking is None), (model, i, j)
-                if va.blocking is not None:
-                    assert (vb.blocking.interval, vb.blocking.pair) == (
-                        va.blocking.interval, va.blocking.pair
-                    )
+        _assert_same_verdicts(model, fa, fb, len(model.states))
 
         _, events = sample_run(model, rng, 15)
         observed = [model.events[e].name for e in events if model.events[e].observable]
@@ -483,15 +523,7 @@ def test_duplicating_an_observable_label_changes_nothing():
         fa, fb = a.frontier, b.frontier
         assert (fb.p, fb.dmin_init, fb.vacuous) == (fa.p, fa.dmin_init, fa.vacuous)
         assert [(e.interval, e.pair) for e in fb.hulls] == [(e.interval, e.pair) for e in fa.hulls]
-        for i, promises in _dense_grid(fa, len(model.states)):
-            for j in promises:
-                va, vb = is_ij_predictable(fa, i, j), is_ij_predictable(fb, i, j)
-                assert va.predictable == vb.predictable, (model, i, j)
-                assert (va.blocking is None) == (vb.blocking is None), (model, i, j)
-                if va.blocking is not None:
-                    assert (vb.blocking.interval, vb.blocking.pair) == (
-                        va.blocking.interval, va.blocking.pair
-                    )
+        _assert_same_verdicts(model, fa, fb, len(model.states))
 
         # The copy is fed at random in place of the original.
         _, events = sample_run(model, rng, 15)
@@ -550,15 +582,7 @@ def test_appending_an_unreachable_copy_changes_nothing():
         fa, fb = a.frontier, b.frontier
         assert (fb.p, fb.dmin_init, fb.vacuous) == (fa.p, fa.dmin_init, fa.vacuous)
         assert [(e.interval, e.pair) for e in fb.hulls] == [(e.interval, e.pair) for e in fa.hulls]
-        for i, promises in _dense_grid(fa, n):
-            for j in promises:
-                va, vb = is_ij_predictable(fa, i, j), is_ij_predictable(fb, i, j)
-                assert va.predictable == vb.predictable, (model, i, j)
-                assert (va.blocking is None) == (vb.blocking is None), (model, i, j)
-                if va.blocking is not None:
-                    assert (vb.blocking.interval, vb.blocking.pair) == (
-                        va.blocking.interval, va.blocking.pair
-                    )
+        _assert_same_verdicts(model, fa, fb, n)
 
         _, events = sample_run(model, rng, 15)
         observed = [e for e in events if model.events[e].observable]
@@ -568,3 +592,55 @@ def test_appending_an_unreachable_copy_changes_nothing():
         # No belief holds a copied state, so the automata are equal outright.
         assert compile_predictor(moved) == compile_predictor(model)
     assert checked >= 100
+
+
+def _subdivided(model, rng):
+    """The model with one silent move q -h-> t between non-faulty states
+    replaced by q -h-> s -h-> t through a fresh state s, numbered last;
+    None when the model has no such move."""
+    moves = [
+        k for k, (q, e, t) in enumerate(model.transitions)
+        if not model.events[e].observable and not {q, t} & model.faulty
+    ]
+    if not moves:
+        return None
+    k = rng.choice(moves)
+    q, h, t = model.transitions[k]
+    s = len(model.states)
+    return replace(
+        model,
+        states=(*model.states, "fresh"),
+        transitions=(*model.transitions[:k], (q, h, s), (s, h, t), *model.transitions[k + 1:]),
+    )
+
+
+def test_subdividing_a_silent_move_changes_nothing():
+    # Only between non-faulty states: before a faulty t, s would get dmax 1
+    # (the floor of one) and could add a hull.  Vacuous models are left out,
+    # as their frontier has one row per state plus one.
+    rng = random.Random(105)
+    config = OracleConfig(max_states=12, observable_prob=0.4)
+    checked = 0
+    while checked < 100:
+        model = random_live_model(rng, config)
+        moved = _subdivided(model, rng)
+        if moved is None:
+            continue
+        assert validate(moved) == ()
+        a, b = analyze(model), analyze(moved)
+        if a.frontier.vacuous:
+            continue
+        checked += 1
+
+        n = len(model.states)
+        assert (b.table.dmin[:n], b.table.dmax[:n]) == (a.table.dmin, a.table.dmax)
+        assert {pair for pair in b.twin.pairs if pair[1] < n} == a.twin.pairs
+        fa, fb = a.frontier, b.frontier
+        assert (fb.p, fb.dmin_init, fb.vacuous) == (fa.p, fa.dmin_init, fa.vacuous)
+        assert [(e.interval, e.pair) for e in fb.hulls] == [(e.interval, e.pair) for e in fa.hulls]
+        _assert_same_verdicts(model, fa, fb, n)
+
+        _, events = sample_run(model, rng, 15)
+        observed = [e for e in events if model.events[e].observable]
+        sa, sb = PredictionSession(model), PredictionSession(moved)
+        assert [sb.feed(e) for e in observed] == [sa.feed(e) for e in observed]
