@@ -20,13 +20,13 @@ at most ceil(n/8) lookups of memoized byte entries (the method of four
 Russians), which give its successor on every observable event, its
 interval and its witnesses without decoding it.  A sparse mask is read
 by one pass over its members.  Every interval comes from the model's
-own distance table.  Sessions share the one engine a model keeps, which
-starts anew at DEFAULT_NODE_CAP beliefs; a session holds its node, so
-one left behind steps on from it.  compile_predictor reads each belief
-once with an engine of its own, takes its successors on every event in
-one pass (a sparse one from its members' move lists), and refuses past
-its cap.  The mask is the belief: a BeliefState holds it and decodes its
-member set on first read, so compiling builds no sets.
+own distance table.  A model keeps one engine, which starts its nodes
+anew at DEFAULT_NODE_CAP beliefs; a session holds only its node, so one
+left behind steps on from it.  compile_predictor numbers its own nodes,
+reads each belief once through that engine, takes its successors on
+every event in one pass (a sparse one from its members' move lists), and
+refuses past its cap.  The mask is the belief: a BeliefState holds it
+and decodes its member set on first read, so compiling builds no sets.
 """
 
 from __future__ import annotations
@@ -119,8 +119,9 @@ class _BeliefEngine:
     their closed-successor rows with every observable event's row n bits
     apart, and their least dmin and greatest dmax with the first member
     reaching each.  Entries are filled on first use and depend only on the
-    model and the table, so they outlive a flush.  So do the move lists
-    of the states, which only successors reads.
+    model and the table, so they outlive a flush, and compile_predictor
+    shares them.  So do the move lists of the states, which only
+    successors reads.
     """
 
     def __init__(self, model: DesModel, table: DistanceTable):
@@ -147,14 +148,13 @@ class _BeliefEngine:
         if node is None:
             if len(self.index) >= DEFAULT_NODE_CAP:
                 self.index, self.edges = {}, {}
-            read = self.read(mask)
-            interval = self.interval(self.witnesses(read))
-            node = self.index[mask] = _Node(next(self._serials), mask, read[0], interval)
+            row, lo, hi = self.read(mask)
+            node = self.index[mask] = _Node(next(self._serials), mask, row, self.interval(lo, hi))
         return node
 
-    def interval(self, witnesses: tuple[int, int]) -> Interval:
-        """The hull interval whose bounds the two witnesses reach, shared."""
-        bounds = (self.table.dmin[witnesses[0]], self.table.dmax[witnesses[1]])
+    def interval(self, lo: int, hi: int) -> Interval:
+        """The hull interval whose bounds members lo and hi reach, shared."""
+        bounds = (self.table.dmin[lo], self.table.dmax[hi])
         interval = self._shared.get(bounds)
         if interval is None:
             interval = self._shared[bounds] = Interval(*bounds)
@@ -173,17 +173,21 @@ class _BeliefEngine:
         self._bytes[key] = entry
         return entry
 
-    def read(self, mask: int) -> tuple[int | list[int], list | None]:
-        """The belief's row and, when the mask is dense, the entries of its
-        non-zero bytes, ascending.  A dense row is the OR of the entries'
-        packed rows; a sparse row is the members, with no entries.  Each
-        belief is read once, when it becomes a node."""
+    def read(self, mask: int) -> tuple[int | list[int], int, int]:
+        """The belief's row, its first member of least dmin and its first
+        member of greatest dmax (ties go to the smallest index).  A dense
+        row is the OR of its non-zero bytes' packed rows; a sparse row is
+        the members.  Each belief is read once, when it becomes a node."""
         # Dense: at least one member per byte up to the top one, on average.
         if mask.bit_count() * 8 >= mask.bit_length():
             get, data = self._bytes.get, mask.to_bytes((mask.bit_length() + 7) // 8, "little")
             entries = [get(k + b) or self._entry(k + b) for k, b in zip(self._keys, data) if b]
-            return reduce(or_, map(_PACKED, entries)), entries
-        return _sparse_members(mask), None
+            # min and max keep the first extreme entry, and bytes ascend.
+            lo, hi = min(entries, key=_LO)[2], max(entries, key=_HI)[4]
+            return reduce(or_, map(_PACKED, entries)), lo, hi
+        members = _sparse_members(mask)
+        dmin, dmax = self.table.dmin.__getitem__, self.table.dmax.__getitem__
+        return members, min(members, key=dmin), max(members, key=dmax)
 
     def successor(self, row: int | list[int], event: int) -> int:
         """The belief mask after observing event from a belief's row, 0 when none."""
@@ -209,16 +213,6 @@ class _BeliefEngine:
                 targets[event] = targets.get(event, 0) | target
         return sorted(targets.items())
 
-    def witnesses(self, read: tuple[int | list[int], list | None]) -> tuple[int, int]:
-        """The first member of least dmin and the first of greatest dmax of
-        a read belief, in ascending order: ties go to the smallest index."""
-        row, entries = read
-        if entries is None:
-            dmin, dmax = self.table.dmin.__getitem__, self.table.dmax.__getitem__
-            return min(row, key=dmin), max(row, key=dmax)
-        # min and max keep the first extreme entry, and bytes ascend.
-        return min(entries, key=_LO)[2], max(entries, key=_HI)[4]
-
     def step(self, node: _Node, event: int) -> _Node:
         """The node after observing event at node, from its row; a new
         target first flushes the engine when it is full."""
@@ -241,23 +235,27 @@ class _BeliefEngine:
 class PredictionSession:
     """Mutable online predictor over a stream of observed events.
 
-    Events may be given by index or by name.  The current belief and its
-    interval are available between feeds; a rejected event leaves them
-    unchanged.  The sessions on one model share its distance table and
-    belief engine, so feed them from one thread at a time.
+    Events may be given by index or by name.  A session holds only its
+    node in the belief engine the model keeps: the current belief and its
+    interval are read from that node between feeds, and a rejected event
+    leaves it unchanged.  The sessions on one model share its engine, so
+    feed them from one thread at a time.
     """
 
     def __init__(self, model: DesModel):
         self.model = model
         self._engine = model.belief_engine
-        self.table: DistanceTable = self._engine.table
         self._node = self._engine.node(self._engine.start)
-        self.interval: Interval = self._node.interval
+
+    @property
+    def interval(self) -> Interval:
+        return self._node.interval
 
     @property
     def belief(self) -> BeliefState:
-        mask, engine = self._node.mask, self._engine
-        return BeliefState(mask, self.interval, engine.witnesses(engine.read(mask)))
+        node = self._node
+        _, lo, hi = self._engine.read(node.mask)
+        return BeliefState(node.mask, node.interval, (lo, hi))
 
     def feed(self, event: Union[int, str]) -> Interval:
         if isinstance(event, str):
@@ -268,7 +266,6 @@ class PredictionSession:
         elif not isinstance(event, int) or isinstance(event, bool):
             raise ImpossibleObservationError(f"not an event name or index: {event!r}")
         self._node = node = self._engine.step(self._node, event)
-        self.interval = node.interval
         return node.interval
 
 
@@ -282,14 +279,15 @@ class BeliefAutomaton:
 
 
 def compile_predictor(model: DesModel, cap: int = DEFAULT_NODE_CAP) -> BeliefAutomaton:
-    """Expand every belief of the engine on all events at once, breadth-first.
+    """Expand every belief on all events at once, breadth-first, reading
+    each once through the engine the model keeps.
 
     Raises CapExceededError as soon as a (cap+1)-th distinct belief shows
     up, reporting how many were explored, and ValueError for a cap below 1.
     """
     if cap < 1:
         raise ValueError(f"cap must be at least 1: {cap}")
-    engine = _BeliefEngine(model, model.distance_table)
+    engine = model.belief_engine
     # Each node's witnesses, kept for its BeliefState: a refused compile
     # builds none, and two lists of ints hold less than a list of pairs.
     masks, intervals, lows, highs = [engine.start], [], [], []
@@ -298,12 +296,11 @@ def compile_predictor(model: DesModel, cap: int = DEFAULT_NODE_CAP) -> BeliefAut
     for node, mask in enumerate(masks):  # grows as beliefs are found
         # A node gets its interval here, not when found, so that one read
         # of it gives both its successors and its witnesses: no row is kept.
-        read = engine.read(mask)
-        lo, hi = engine.witnesses(read)
-        intervals.append(engine.interval((lo, hi)))
+        row, lo, hi = engine.read(mask)
+        intervals.append(engine.interval(lo, hi))
         lows.append(lo)
         highs.append(hi)
-        for event, target in engine.successors(read[0]):
+        for event, target in engine.successors(row):
             nxt = index.get(target)
             if nxt is None:
                 if len(masks) >= cap:

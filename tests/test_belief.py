@@ -508,9 +508,26 @@ def test_sessions_share_the_model_caches(monkeypatch):
     assert len(built) == 1
     assert analysis.table is compute_distances(model) is built[0]
     engine = model.belief_engine
-    assert all(s.table is built[0] and s._engine is engine for s in sessions)
+    assert all(s._engine.table is built[0] and s._engine is engine for s in sessions)
     # The first feed found the edge; the other nine were dict hits.
     assert len(engine.index) == 2 and len(engine.edges) == 1
+
+
+def test_one_engine_per_model(monkeypatch):
+    built = []
+    init = _BeliefEngine.__init__
+    monkeypatch.setattr(
+        _BeliefEngine, "__init__", lambda self, *args: built.append(self) or init(self, *args)
+    )
+    models = [drifting_plant()] + [model for _, model in _random_models(66, 100)]
+    for model in models:
+        built.clear()
+        # The compile and every session read through the engine the model keeps.
+        analyze(model)
+        compile_predictor(model)
+        sessions = [PredictionSession(model) for _ in range(3)]
+        assert built == [model.belief_engine]
+        assert all(session._engine is built[0] for session in sessions)
 
 
 def test_compile_ignores_session_state(monkeypatch, capsys, tmp_path):
@@ -598,8 +615,8 @@ def _check_reads(engine, model, table, masks):
     dense = sparse = 0
     for mask in masks:
         belief = frozenset(q for q in range(len(model.states)) if mask >> q & 1)
-        row, entries = read = engine.read(mask)
-        if entries is None:
+        row, lo, hi = engine.read(mask)
+        if type(row) is list:
             sparse += 1
             assert row == sorted(belief)
         else:
@@ -607,9 +624,9 @@ def _check_reads(engine, model, table, masks):
         for event in observable:
             assert engine.successor(row, event) == mask_of(_image(model, belief, event))
         lo_w, hi_w = _witnesses(table, belief)
-        assert engine.witnesses(read) == (lo_w, hi_w)
+        assert (lo, hi) == (lo_w, hi_w)
         bounds = min(table.dmin[q] for q in belief), max(table.dmax[q] for q in belief)
-        assert engine.interval((lo_w, hi_w)) == Interval(*bounds)
+        assert engine.interval(lo, hi) == Interval(*bounds)
     return dense, sparse
 
 
@@ -651,7 +668,7 @@ def test_byte_tables_match_a_member_loop_at_every_width():
             seen["dense"] += dense
             seen["sparse"] += sparse
             for mask in masks:
-                lo_w, hi_w = engine.witnesses(engine.read(mask))
+                _, lo_w, hi_w = engine.read(mask)
                 seen["inf lo"] += table.dmin[lo_w] == INF
                 seen["inf hi"] += table.dmax[hi_w] == INF
     assert min(seen.values()) > 20, seen

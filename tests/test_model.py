@@ -12,6 +12,7 @@ from faultcast import (
     InitialFaultyError,
     PredictionSession,
     fault_closure,
+    fan_system,
     make_model,
     unobservable_closure,
     validate,
@@ -59,6 +60,38 @@ def test_constructor_rejects_structural_garbage():
         make_model([("a", True)], [("A", "b", "A")], "A")
     with pytest.raises(ValueError, match="duplicate event name: a"):
         make_model([("a", True), ("a", False)], [("A", "a", "A")], "A")
+
+
+_ONE_EVENT = (Event("a", True),)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: DesModel(("A",), _ONE_EVENT, (), 0, frozenset({1})),
+            "faulty state index out of range: 1",
+        ),
+        (
+            lambda: DesModel(("A",), _ONE_EVENT, ((0, 0, 1),), 0, frozenset()),
+            r"transition state index out of range: \(0, 0, 1\)",
+        ),
+        (
+            lambda: DesModel(("A",), _ONE_EVENT, ((-1, 0, 0),), 0, frozenset()),
+            r"transition state index out of range: \(-1, 0, 0\)",
+        ),
+        (lambda: fan_system(0), "fan width must be at least 1"),
+    ],
+    ids=["fault index", "transition target", "transition source", "fan width 0"],
+)
+def test_out_of_range_arguments_are_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_a_model_never_equals_a_non_model(plant):
+    assert plant != "x"
+    assert plant.__eq__("x") is NotImplemented
 
 
 def test_semantic_equality_ignores_index_order():

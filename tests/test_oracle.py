@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import random
 
-from faultcast import INF, drifting_plant, parse_model, validate
+import pytest
+
+from faultcast import INF, CapExceededError, drifting_plant, parse_model, validate
 from faultcast.oracle import (
     oracle_avoid_set,
     oracle_beliefs,
@@ -69,6 +71,21 @@ def test_plant_oracle_beliefs_in_discovery_order(plant):
         {"G"},
         {"F"},
     ]
+
+
+def test_oracle_beliefs_refuse_past_the_cap(plant):
+    # The plant has 7 beliefs: every cap below that refuses once the
+    # (cap+1)-th shows up, having explored exactly cap of them.
+    assert len(oracle_beliefs(plant, cap=7)) == 7
+    for cap in range(1, 7):
+        with pytest.raises(CapExceededError) as refused:
+            oracle_beliefs(plant, cap=cap)
+        assert (refused.value.cap, refused.value.explored) == (cap, cap)
+
+
+def test_oracle_query_refuses_a_negative_lead_time(plant):
+    with pytest.raises(ValueError, match="lead time must be a finite natural: -1"):
+        oracle_is_ij_predictable(plant, -1, 2)
 
 
 def test_plant_oracle_pairs(plant):
