@@ -10,23 +10,14 @@ is contained in the old one shifted by one observation.
 
 A belief is a bit mask over the states; its successor on an event is the
 union of its members' rows in the model's closed-successor table, and an
-empty union means no run explains the event.  One engine, the observer
-(subset) construction built lazily, makes each belief a node when found
-and memoizes the edges between nodes; a revisited edge costs a dict
-lookup.  Each belief is read once, when found: the read gives its
-interval, and its node keeps the part of it that gives its successors.
-A dense mask, with at least one member per byte on average, is read in
-at most ceil(n/8) lookups of memoized byte entries (the method of four
-Russians), which give its successor on every observable event, its
-interval and its witnesses without decoding it.  A sparse mask is read
-by one pass over its members.  Every interval comes from the model's
-own distance table.  A model keeps one engine, which starts its nodes
-anew at DEFAULT_NODE_CAP beliefs; a session holds only its node, so one
-left behind steps on from it.  compile_predictor numbers its own nodes,
-reads each belief once through that engine, takes its successors on
-every event in one pass (a sparse one from its members' move lists), and
-refuses past its cap.  The mask is the belief: a BeliefState holds it
-and decodes its member set on first read, so compiling builds no sets.
+empty union means no run explains the event.  One engine per model, the
+observer (subset) construction built lazily, makes each belief a node
+when found, reads it once for its hull bounds and the row that gives its
+successors, and memoizes the edges between nodes.  A dense mask is read
+as the OR of ceil(n/8) memoized byte entries (the method of four
+Russians), which holds both its rows and its hull; a sparse one by a
+pass over its members.  Witnesses are found only where they are read.
+A session holds only its node; compile_predictor numbers its own nodes.
 """
 
 from __future__ import annotations
@@ -34,12 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress, count
-from operator import itemgetter, or_
+from operator import getitem, or_
 from typing import Mapping, Union
 
 from .distances import DistanceTable
 from .errors import CapExceededError, ImpossibleObservationError
-from .intervals import Interval
+from .intervals import INF, ExtNat, Interval
 from .model import DesModel, unobservable_closure
 
 #: Node ceiling of the engine a model's sessions share, read at every
@@ -52,10 +43,9 @@ DEFAULT_NODE_CAP = 1 << 16
 class BeliefState:
     """A non-empty set of possible states with its hull interval.
 
-    mask is the belief: bit q is set when state q is a member.  members
-    is decoded from it on first read.  witnesses holds one member
-    achieving the lower bound and one achieving the upper bound, in that
-    order.
+    mask is the belief: bit q is set when state q is a member; members is
+    decoded from it on first read.  witnesses holds the least member
+    reaching the lower bound and the least reaching the upper bound.
     """
 
     mask: int
@@ -68,14 +58,13 @@ class BeliefState:
         return frozenset(_members(self.mask))
 
     def __repr__(self) -> str:
-        return (
-            f"BeliefState(members={_members(self.mask)}, interval={self.interval!r}, "
-            f"witnesses={self.witnesses!r})"
-        )
+        members, interval, witnesses = _members(self.mask), self.interval, self.witnesses
+        return f"BeliefState({members=}, {interval=}, {witnesses=})"
 
 
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
-_PACKED, _LO, _HI = itemgetter(0), itemgetter(1), itemgetter(3)  # fields of a byte entry
+# A byte position's table until its first fill: slot 0, no members, holds 0.
+_UNFILLED = (0,) + (None,) * 255
 # The set bits of each byte value, ascending.
 _BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
 
@@ -109,33 +98,33 @@ class _Node:
 
 class _BeliefEngine:
     """The beliefs of one model found so far, as nodes by mask, each with
-    the row its one read left (what successor needs of it), and their
-    memoized edges, keyed by node serial * len(events) + event.  A full
-    engine starts both dicts anew; a session holding an old node then
-    misses in the new edges and steps on from that node's row.
+    the row its one read left, and their memoized edges, keyed by node
+    serial * len(events) + event.  A full engine starts both dicts anew;
+    a session holding an old node then steps on from that node's row.
 
-    A dense mask is read a byte at a time: the entry of a (byte position,
-    byte value) holds, for the at most 8 states of that byte, the OR of
-    their closed-successor rows with every observable event's row n bits
-    apart, and their least dmin and greatest dmax with the first member
-    reaching each.  Entries are filled on first use and depend only on the
-    model and the table, so they outlive a flush, and compile_predictor
-    shares them.  So do the move lists of the states, which only
-    successors reads.
+    A dense mask is read a byte at a time.  Each state packs its rows, one
+    per observable event n bits apart, and above them two one-hot fields of
+    1 + the table's largest finite distance bits, whose top bit stands for
+    INF: bit dmin[q] of the first, bit dmax[q] of the second.  An entry ORs
+    its byte's packed ints, so the OR of a mask's entries is its row, and
+    the lowest set bit of its first field and the highest of its second are
+    its hull.  Each position's 256-slot table, packed ints and move lists
+    depend only on the model and the table: they outlive a flush, and
+    compile_predictor shares them.
     """
 
     def __init__(self, model: DesModel, table: DistanceTable):
         self.model, self.table = model, table
-        self.rows = model.closed_successors
-        self.width = len(model.events)
+        self.rows, self.width = model.closed_successors, len(model.events)
         n = len(model.states)
         observable = [e for e, row in enumerate(self.rows) if row is not None]
         self.shifts = {e: k * n for k, e in enumerate(observable)}
         self.full = (1 << n) - 1
-        self._bytes: dict[int, tuple] = {}  # byte position * 256 + byte value -> entry
-        self._packed: list[int | None] = [None] * n  # per state, its rows n bits apart
+        self._inf = 1 + max((d for d in table.dmin + table.dmax if d != INF), default=-1)
+        self._lo_at = len(observable) * n  # the dmin field's first bit; dmax's follows it
+        self._tables = [_UNFILLED] * ((n + 7) // 8)  # per byte position, by byte value
+        self._packed: list[int | None] = [None] * n  # per state, its rows and fields
         self._moves: list[list | None] = [None] * n  # per state, its (event, row) moves
-        self._keys = range(0, 256 * ((n + 7) // 8), 256)
         self.index: dict[int, _Node] = {}
         self.edges: dict[int, _Node] = {}
         self._serials = count()
@@ -152,42 +141,58 @@ class _BeliefEngine:
             node = self.index[mask] = _Node(next(self._serials), mask, row, self.interval(lo, hi))
         return node
 
-    def interval(self, lo: int, hi: int) -> Interval:
-        """The hull interval whose bounds members lo and hi reach, shared."""
-        bounds = (self.table.dmin[lo], self.table.dmax[hi])
-        interval = self._shared.get(bounds)
-        if interval is None:
-            interval = self._shared[bounds] = Interval(*bounds)
-        return interval
+    def interval(self, lo: ExtNat, hi: ExtNat) -> Interval:
+        """The hull interval (lo, hi), one shared object per pair of bounds."""
+        return self._shared.get((lo, hi)) or self._shared.setdefault((lo, hi), Interval(lo, hi))
 
-    def _entry(self, key: int) -> tuple:
-        # The low 8 bits of key are the byte value, the rest its position.
-        base, packed = (key >> 8) * 8, self._packed
-        members = [base + i for i in _BYTE_BITS[key & 255]]
+    def _entry(self, position: int, byte: int) -> int:
+        table = self._tables[position]
+        entry = table[byte]
+        if entry is not None:
+            return entry
+        packed, inf, dmin, dmax = self._packed, self._inf, self.table.dmin, self.table.dmax
+        members = [position * 8 + i for i in _BYTE_BITS[byte]]
         for q in members:
-            if packed[q] is None:
-                packed[q] = sum(self.rows[e][q] << shift for e, shift in self.shifts.items())
-        dmin, dmax = self.table.dmin.__getitem__, self.table.dmax.__getitem__
-        lo, hi = min(members, key=dmin), max(members, key=dmax)
-        entry = (reduce(or_, map(packed.__getitem__, members)), dmin(lo), lo, dmax(hi), hi)
-        self._bytes[key] = entry
+            if packed[q] is None:  # min(d, inf) is d's bit in its field
+                fields = 1 << min(dmin[q], inf) | 1 << inf + 1 + min(dmax[q], inf)
+                rows = sum(self.rows[e][q] << shift for e, shift in self.shifts.items())
+                packed[q] = rows | fields << self._lo_at
+        if table is _UNFILLED:
+            table = self._tables[position] = list(_UNFILLED)
+        table[byte] = entry = reduce(or_, map(packed.__getitem__, members))
         return entry
 
-    def read(self, mask: int) -> tuple[int | list[int], int, int]:
-        """The belief's row, its first member of least dmin and its first
-        member of greatest dmax (ties go to the smallest index).  A dense
-        row is the OR of its non-zero bytes' packed rows; a sparse row is
-        the members.  Each belief is read once, when it becomes a node."""
+    def read(self, mask: int) -> tuple[int | list[int], ExtNat, ExtNat]:
+        """The belief's row and hull bounds.  A dense row ORs its bytes'
+        entries; a sparse row is its members."""
         # Dense: at least one member per byte up to the top one, on average.
         if mask.bit_count() * 8 >= mask.bit_length():
-            get, data = self._bytes.get, mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-            entries = [get(k + b) or self._entry(k + b) for k, b in zip(self._keys, data) if b]
-            # min and max keep the first extreme entry, and bytes ascend.
-            lo, hi = min(entries, key=_LO)[2], max(entries, key=_HI)[4]
-            return reduce(or_, map(_PACKED, entries)), lo, hi
+            data = mask.to_bytes(len(self._tables), "little")
+            try:
+                row = reduce(or_, map(getitem, self._tables, data), 0)
+            except TypeError:  # a slot not yet filled holds None
+                row = reduce(or_, map(self._entry, range(len(data)), data))
+            fields, inf = row >> self._lo_at, self._inf
+            lo, hi = (fields & -fields).bit_length() - 1, (fields >> inf + 1).bit_length() - 1
+            return row, INF if lo == inf else lo, INF if hi == inf else hi
         members = _sparse_members(mask)
         dmin, dmax = self.table.dmin.__getitem__, self.table.dmax.__getitem__
-        return members, min(members, key=dmin), max(members, key=dmax)
+        return members, min(map(dmin, members)), max(map(dmax, members))
+
+    @cached_property
+    def _levels(self) -> tuple[dict[ExtNat, int], dict[ExtNat, int]]:
+        # The mask of the states at each dmin value, and at each dmax value.
+        levels: tuple[dict[ExtNat, int], dict[ExtNat, int]] = ({}, {})
+        for q, bounds in enumerate(zip(self.table.dmin, self.table.dmax)):
+            for level, d in zip(levels, bounds):
+                level[d] = level.get(d, 0) | 1 << q
+        return levels
+
+    def witnesses(self, mask: int, lo: ExtNat, hi: ExtNat) -> tuple[int, int]:
+        """The least member of mask at dmin lo and the least at dmax hi."""
+        with_dmin, with_dmax = self._levels
+        low, high = mask & with_dmin[lo], mask & with_dmax[hi]
+        return (low & -low).bit_length() - 1, (high & -high).bit_length() - 1
 
     def successor(self, row: int | list[int], event: int) -> int:
         """The belief mask after observing event from a belief's row, 0 when none."""
@@ -253,9 +258,8 @@ class PredictionSession:
 
     @property
     def belief(self) -> BeliefState:
-        node = self._node
-        _, lo, hi = self._engine.read(node.mask)
-        return BeliefState(node.mask, node.interval, (lo, hi))
+        mask, interval = self._node.mask, self._node.interval
+        return BeliefState(mask, interval, self._engine.witnesses(mask, interval.lo, interval.hi))
 
     def feed(self, event: Union[int, str]) -> Interval:
         if isinstance(event, str):
@@ -288,18 +292,13 @@ def compile_predictor(model: DesModel, cap: int = DEFAULT_NODE_CAP) -> BeliefAut
     if cap < 1:
         raise ValueError(f"cap must be at least 1: {cap}")
     engine = model.belief_engine
-    # Each node's witnesses, kept for its BeliefState: a refused compile
-    # builds none, and two lists of ints hold less than a list of pairs.
-    masks, intervals, lows, highs = [engine.start], [], [], []
+    masks, intervals = [engine.start], []
     index = {engine.start: 0}
     edges: dict[tuple[int, int], int] = {}
     for node, mask in enumerate(masks):  # grows as beliefs are found
-        # A node gets its interval here, not when found, so that one read
-        # of it gives both its successors and its witnesses: no row is kept.
+        # One read, here and not when found, gives its interval and successors.
         row, lo, hi = engine.read(mask)
         intervals.append(engine.interval(lo, hi))
-        lows.append(lo)
-        highs.append(hi)
         for event, target in engine.successors(row):
             nxt = index.get(target)
             if nxt is None:
@@ -308,5 +307,6 @@ def compile_predictor(model: DesModel, cap: int = DEFAULT_NODE_CAP) -> BeliefAut
                 nxt = index[target] = len(masks)
                 masks.append(target)
             edges[node, event] = nxt
-    nodes = tuple(map(BeliefState, masks, intervals, zip(lows, highs)))
+    witnesses = engine.witnesses  # only now, so that a refused compile finds none
+    nodes = tuple(BeliefState(m, i, witnesses(m, i.lo, i.hi)) for m, i in zip(masks, intervals))
     return BeliefAutomaton(nodes=nodes, edges=edges, initial=0)

@@ -605,6 +605,60 @@ def test_each_belief_is_read_once(monkeypatch, cap):
     assert flushes > 100 if cap else flushes == 0
 
 
+def test_witnesses_are_found_only_where_read(monkeypatch):
+    # A refused compile finds no witnesses, a finished one finds each
+    # node's once, in node order, and a session finds them when its belief
+    # is read, never when it is fed.
+    calls = []
+    witnesses = _BeliefEngine.witnesses
+    monkeypatch.setattr(
+        _BeliefEngine, "witnesses", lambda e, *args: calls.append(args[0]) or witnesses(e, *args)
+    )
+    refused = 0
+    for rng, model in _random_models(67, 80, max_states=40):
+        automaton = compile_predictor(model)
+        assert calls == [node.mask for node in automaton.nodes]
+        calls.clear()
+        if len(automaton.nodes) > 1:
+            with pytest.raises(CapExceededError):
+                compile_predictor(model, cap=len(automaton.nodes) - 1)
+            assert calls == []
+            refused += 1
+        session = PredictionSession(model)
+        for stream in _looping_streams(model, rng, 1):
+            for event in stream:
+                session.feed(event)
+        assert calls == []
+        belief = session.belief
+        assert calls == [belief.mask]
+        calls.clear()
+    assert refused > 40
+
+
+def test_sparse_reads_fill_no_byte_table():
+    # A ring of single states at indexes 17 to 39: every belief is sparse,
+    # so neither a stream nor a compile gives a byte position its own table.
+    n = 40
+    ring = [(q, 0, q - 1 if q > 17 else n - 1) for q in range(17, n)]
+    model = DesModel(
+        states=tuple(f"s{q}" for q in range(n)),
+        events=(Event("a", True),),
+        transitions=tuple(ring),
+        initial=n - 1,
+        faulty=frozenset(),
+    )
+    session = PredictionSession(model)
+    for _ in range(100):
+        session.feed("a")
+    assert len(compile_predictor(model).nodes) == n - 17
+    engine = model.belief_engine
+    assert all(table is faultcast.belief._UNFILLED for table in engine._tables)
+    # One dense read fills only the positions of its non-zero bytes.
+    engine.read((1 << n) - 1 ^ 0xFF)
+    filled = [table is not faultcast.belief._UNFILLED for table in engine._tables]
+    assert filled == [False, True, True, True, True]
+
+
 # -- the byte tables against a member loop ---------------------------------
 
 
@@ -623,24 +677,26 @@ def _check_reads(engine, model, table, masks):
             dense += 1
         for event in observable:
             assert engine.successor(row, event) == mask_of(_image(model, belief, event))
-        lo_w, hi_w = _witnesses(table, belief)
-        assert (lo, hi) == (lo_w, hi_w)
         bounds = min(table.dmin[q] for q in belief), max(table.dmax[q] for q in belief)
+        assert (lo, hi) == bounds
+        assert engine.witnesses(mask, lo, hi) == _witnesses(table, belief)
         assert engine.interval(lo, hi) == Interval(*bounds)
     return dense, sparse
 
 
 def _table_with_ties(rng, n):
-    """Distances with many ties and INF bounds, dmin <= dmax per state."""
-    dmin = [rng.choice([0, 1, 2, INF]) for _ in range(n)]
-    dmax = [lo if lo == INF else lo + rng.choice([0, 1, 2, INF]) for lo in dmin]
+    """Distances with many ties and INF bounds, dmin <= dmax per state.
+    Finite bounds reach past n, up to 3n + 13, so at every width a field
+    sized from n would be too narrow."""
+    dmin = [rng.choice([0, 1, 2, n + 3, INF]) for _ in range(n)]
+    dmax = [lo if lo == INF else lo + rng.choice([0, 1, 2, 2 * n + 10, INF]) for lo in dmin]
     return DistanceTable(dmin=tuple(dmin), dmax=tuple(dmax), avoid=frozenset())
 
 
 def test_byte_tables_match_a_member_loop_at_every_width():
     rng = random.Random(63)
     events = (Event("a", True), Event("b", True), Event("t", False))
-    seen = {"dense": 0, "sparse": 0, "inf lo": 0, "inf hi": 0}
+    seen = {"dense": 0, "sparse": 0, "inf lo": 0, "inf hi": 0, "lo above n": 0, "hi above n": 0}
     for n in (1, 7, 8, 9, 63, 64, 65, 201):
         for _ in range(6):
             # Unvalidated: silent cycles and dead ends are welcome here.
@@ -659,6 +715,9 @@ def test_byte_tables_match_a_member_loop_at_every_width():
             masks = [top, full, 1, full ^ 1, full ^ top or top]
             # The bits of the last byte only, which is partial unless 8 divides n.
             masks.append(full >> (n - 1) // 8 * 8 << (n - 1) // 8 * 8)
+            # Every member with INF bounds, and every member with a bound past n.
+            masks.append(mask_of(q for q in range(n) if table.dmin[q] == INF))
+            masks.append(mask_of(q for q in range(n) if n < table.dmax[q] < INF))
             for _ in range(20):
                 masks.append(rng.randrange(1, full + 1))  # mostly dense
                 masks.append(mask_of(rng.sample(range(n), rng.randint(1, max(1, n // 16)))))
@@ -668,9 +727,11 @@ def test_byte_tables_match_a_member_loop_at_every_width():
             seen["dense"] += dense
             seen["sparse"] += sparse
             for mask in masks:
-                _, lo_w, hi_w = engine.read(mask)
-                seen["inf lo"] += table.dmin[lo_w] == INF
-                seen["inf hi"] += table.dmax[hi_w] == INF
+                _, lo, hi = engine.read(mask)
+                seen["inf lo"] += lo == INF
+                seen["inf hi"] += hi == INF
+                seen["lo above n"] += n < lo < INF
+                seen["hi above n"] += n < hi < INF
     assert min(seen.values()) > 20, seen
 
 
