@@ -12,19 +12,19 @@ A belief is a bit mask over the states; its successor on an event is the
 union of its members' rows in the model's closed-successor table, and an
 empty union means no run explains the event.  One engine per model, the
 observer (subset) construction built lazily, makes each belief a node
-when found, reads it once for its hull bounds and the row that gives its
-successors, and memoizes the edges between nodes.  A dense mask is read
-as the OR of ceil(n/8) memoized byte entries (the method of four
-Russians), which holds both its rows and its hull; a sparse one by a
-pass over its members.  Witnesses are found only where they are read.
-A session holds only its node; compile_predictor numbers its own nodes.
+when found and reads it once for its hull bounds and the row from which
+every step and successor is computed.  A dense mask is read as the OR of
+ceil(n/8) memoized byte entries (the method of four Russians), which
+holds both its rows and its hull; a sparse one by a pass over its
+members.  Witnesses are found only where they are read.  A session holds
+only its node; compile_predictor numbers its own nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import compress, count
+from itertools import compress
 from operator import getitem, or_
 from typing import Mapping, Union
 
@@ -88,19 +88,19 @@ def _sparse_members(mask: int) -> list[int]:
 
 
 class _Node:
-    """A found belief: a serial never reused, its mask, row and interval."""
+    """A found belief: its mask, the row its one read left, and its interval."""
 
-    __slots__ = ("serial", "mask", "row", "interval")
+    __slots__ = ("mask", "row", "interval")
 
-    def __init__(self, serial: int, mask: int, row: int | list[int], interval: Interval):
-        self.serial, self.mask, self.row, self.interval = serial, mask, row, interval
+    def __init__(self, mask: int, row: int | list[int], interval: Interval):
+        self.mask, self.row, self.interval = mask, row, interval
 
 
 class _BeliefEngine:
     """The beliefs of one model found so far, as nodes by mask, each with
-    the row its one read left, and their memoized edges, keyed by node
-    serial * len(events) + event.  A full engine starts both dicts anew;
-    a session holding an old node then steps on from that node's row.
+    the row its one read left.  A step computes its target from the row
+    and looks it up by mask.  A full engine starts its index anew; a
+    session holding an old node then steps on from that node's row.
 
     A dense mask is read a byte at a time.  Each state packs its rows, one
     per observable event n bits apart, and above them two one-hot fields of
@@ -126,8 +126,6 @@ class _BeliefEngine:
         self._packed: list[int | None] = [None] * n  # per state, its rows and fields
         self._moves: list[list | None] = [None] * n  # per state, its (event, row) moves
         self.index: dict[int, _Node] = {}
-        self.edges: dict[int, _Node] = {}
-        self._serials = count()
         self._shared: dict[tuple, Interval] = {}  # one Interval per (lo, hi)
         self.start = sum(1 << q for q in unobservable_closure(model, (model.initial,)))
 
@@ -136,9 +134,9 @@ class _BeliefEngine:
         node = self.index.get(mask)
         if node is None:
             if len(self.index) >= DEFAULT_NODE_CAP:
-                self.index, self.edges = {}, {}
+                self.index = {}
             row, lo, hi = self.read(mask)
-            node = self.index[mask] = _Node(next(self._serials), mask, row, self.interval(lo, hi))
+            node = self.index[mask] = _Node(mask, row, self.interval(lo, hi))
         return node
 
     def interval(self, lo: ExtNat, hi: ExtNat) -> Interval:
@@ -196,8 +194,8 @@ class _BeliefEngine:
 
     def successor(self, row: int | list[int], event: int) -> int:
         """The belief mask after observing event from a belief's row, 0 when none."""
-        if type(row) is list:  # a sparse belief's members
-            return reduce(or_, filter(None, map(self.rows[event].__getitem__, row)), 0)
+        if type(row) is list:  # a sparse belief's members, never empty
+            return reduce(or_, map(self.rows[event].__getitem__, row))
         return row >> self.shifts[event] & self.full
 
     def successors(self, row: int | list[int]) -> list[tuple[int, int]]:
@@ -223,18 +221,12 @@ class _BeliefEngine:
         target first flushes the engine when it is full."""
         if not 0 <= event < self.width:
             raise ImpossibleObservationError(f"unknown event index: {event}")
-        key = node.serial * self.width + event
-        nxt = self.edges.get(key)
-        if nxt is not None:
-            return nxt
+        if self.rows[event] is not None and (mask := self.successor(node.row, event)):
+            return self.index.get(mask) or self.node(mask)
         name = self.model.events[event].name
         if self.rows[event] is None:
             raise ImpossibleObservationError(f"event {name} is not observable")
-        mask = self.successor(node.row, event)
-        if not mask:
-            raise ImpossibleObservationError(f"no run explains observing {name} here")
-        nxt = self.edges[key] = self.node(mask)  # into the new dict if node() flushed
-        return nxt
+        raise ImpossibleObservationError(f"no run explains observing {name} here")
 
 
 class PredictionSession:
@@ -254,14 +246,19 @@ class PredictionSession:
 
     @property
     def interval(self) -> Interval:
+        """The current belief's hull interval."""
         return self._node.interval
 
     @property
     def belief(self) -> BeliefState:
+        """The current belief, with its interval and its witnesses."""
         mask, interval = self._node.mask, self._node.interval
         return BeliefState(mask, interval, self._engine.witnesses(mask, interval.lo, interval.hi))
 
     def feed(self, event: Union[int, str]) -> Interval:
+        """Observe event and return the new belief's interval.  Raises
+        ImpossibleObservationError, leaving the session unchanged, for an
+        unknown, unobservable or unexplained event."""
         if isinstance(event, str):
             index = self.model.event_index.get(event)
             if index is None:

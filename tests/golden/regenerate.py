@@ -3,8 +3,11 @@
 Each record holds the argv of one `faultcast predict`, `compile --json -`
 or `compile --dot -` call, the stdin it read, and its exit code, stdout
 and stderr.  The models are the drifting plant, `gen fig3a` at n = 2 and
-5, and seeded `random_live_model` draws; each is written to a file named
-as in the argv, in the working directory of the call.
+5, seeded `random_live_model` draws, and four models that fail
+validation, read under `--no-validate`; each is written to a file named
+as in the argv, in the working directory of the call.  A record with a
+`node_cap` field was made with `faultcast.belief.DEFAULT_NODE_CAP` set
+to it, so that its session's engine flushes.
 tests/test_golden.py replays every record through `cli.main` and requires
 the same answers.
 
@@ -25,24 +28,46 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from faultcast import drifting_plant, fan_system, serialize_model
+import faultcast.belief
+from faultcast import drifting_plant, fan_system, serialize_model, validate
 from faultcast.cli import main
 
-from randmodels import OracleConfig, random_live_model, sample_run
+from randmodels import OracleConfig, _draw_model, random_live_model, sample_run
 
 RECORDS = Path(__file__).with_name("belief.json")
 CAP = "300"  # a compile past it is recorded as the refusal it is
+NODE_CAPS = (2, 4)  # engine ceilings low enough that a predict stream flushes
+FLUSHED = 8  # the models, in order, whose predict streams also run under NODE_CAPS
+
+# Fails liveness: d is a non-faulty dead end, with dmin inf and dmax 1,
+# so the belief {q, d} after "a" has the hull (1, 3), not (1, inf).
+DEAD_END = """\
+des v1
+obs a b
+init s
+fault f
+trans s a q
+trans s a d
+trans q b f
+trans q a q2
+trans q2 a q3
+trans q3 a f
+trans f a f
+"""
 
 
-def run(argv: list[str], stdin: str) -> tuple[int, str, str]:
-    """cli.main on argv with stdin as its input: (exit code, stdout, stderr)."""
+def run(argv: list[str], stdin: str, node_cap: int | None = None) -> tuple[int, str, str]:
+    """cli.main on argv with stdin as its input, under node_cap when one is
+    given: (exit code, stdout, stderr)."""
     out, err, saved = io.StringIO(), io.StringIO(), sys.stdin
     sys.stdin = io.StringIO(stdin)
+    default = faultcast.belief.DEFAULT_NODE_CAP
+    faultcast.belief.DEFAULT_NODE_CAP = node_cap or default
     try:
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
     finally:
-        sys.stdin = saved
+        sys.stdin, faultcast.belief.DEFAULT_NODE_CAP = saved, default
     return code, out.getvalue(), err.getvalue()
 
 
@@ -71,28 +96,46 @@ def models() -> dict[str, tuple]:
     return chosen
 
 
+def unvalidated() -> dict[str, tuple[str, list[str]]]:
+    """File name -> (model text, predict streams) of models that fail
+    validation: the dead end and three draws with a fault and a silent
+    cycle."""
+    chosen = {"dead-end.des": (DEAD_END, ["a\n", "a\nb\na\n", "a\na\na\na\na\n", "b\n"])}
+    rng = random.Random(2022)
+    while len(chosen) < 4:
+        model = _draw_model(rng, OracleConfig(max_states=12, max_events=3))
+        if validate(model) and model.faulty:
+            chosen[f"unvalidated-{len(chosen)}.des"] = (serialize_model(model), _streams(model, rng))
+    return chosen
+
+
 def records() -> dict:
     rng = random.Random(7)
+    inputs = []  # (file name, model text, predict streams, flags, node caps)
+    for k, (name, (model, extra)) in enumerate(models().items()):
+        streams = extra + _streams(model, rng)
+        # An unknown name ends the last stream halfway.
+        lines = streams[-1].splitlines(keepends=True)
+        streams[-1] = "".join(lines[: len(lines) // 2] + ["nope\n"] + lines[len(lines) // 2 :])
+        inputs.append((name, serialize_model(model), streams, [], NODE_CAPS if k < FLUSHED else ()))
+    for name, (text, streams) in unvalidated().items():
+        inputs.append((name, text, streams, ["--no-validate"], ()))
     texts, out = {}, []
     with tempfile.TemporaryDirectory() as scratch:
         cwd = os.getcwd()
         os.chdir(scratch)
         try:
-            for name, (model, extra) in models().items():
-                texts[name] = serialize_model(model)
-                Path(name).write_text(texts[name])
-                streams = extra + _streams(model, rng)
-                # An unknown name ends the last stream halfway.
-                lines = streams[-1].splitlines(keepends=True)
-                streams[-1] = "".join(lines[: len(lines) // 2] + ["nope\n"] + lines[len(lines) // 2 :])
-                calls = [(["compile", "--cap", CAP, "--json", "-", name], "")]
-                calls.append((["compile", "--cap", CAP, "--dot", "-", name], ""))
-                calls += [(["predict", name], stream) for stream in streams]
-                for argv, stdin in calls:
-                    code, stdout, stderr = run(argv, stdin)
-                    out.append(
-                        {"argv": argv, "stdin": stdin, "exit": code, "stdout": stdout, "stderr": stderr}
-                    )
+            for name, text, streams, flags, caps in inputs:
+                texts[name] = text
+                Path(name).write_text(text)
+                calls = [(["compile", "--cap", CAP, "--json", "-", *flags, name], "", None)]
+                calls.append((["compile", "--cap", CAP, "--dot", "-", *flags, name], "", None))
+                for cap in (None, *caps):
+                    calls += [(["predict", *flags, name], stream, cap) for stream in streams]
+                for argv, stdin, cap in calls:
+                    code, stdout, stderr = run(argv, stdin, cap)
+                    record = {"argv": argv, "stdin": stdin, "exit": code, "stdout": stdout, "stderr": stderr}
+                    out.append(record | ({"node_cap": cap} if cap else {}))
         finally:
             os.chdir(cwd)
     return {"models": texts, "records": out}
