@@ -19,6 +19,15 @@ implicitly by use.  make_model assigns the indices: events in declaration
 order, states by first mention.  Serialization writes the same shape back,
 so parse and serialize are mutually inverse.
 
+Lines end where str.splitlines ends them: vertical tab, form feed, the
+file, group and record separators, NEL and the Unicode line and
+paragraph separators end a line too.  Each line is cut at its first `#`
+and split into words with str.split(), at runs of str.isspace
+characters such as tabs and no-break or ideographic spaces.  A syntax
+error names its line and, where a word is at fault, that word's 1-based
+character column; the column is found only then, by scanning that one
+line again.
+
 Fault sets are taken literally: a fault set that can be escaped is a
 validation error, not silently repaired.  Pass close_faults=True to
 apply the closure instead.
@@ -28,7 +37,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, islice
 from operator import attrgetter
 
 from .errors import ModelSyntaxError
@@ -50,67 +59,54 @@ class ModelDocument:
 def parse_document(text: str) -> ModelDocument:
     """Split a file into directives, enforcing only the line grammar."""
     lines = text.splitlines()
-    rows: list[list[tuple[str, int, int]]] = []  # (text, line, column) tokens
+    rows: list[tuple[list[str], int]] = []  # (words, line)
     for number, raw in enumerate(lines, start=1):
-        body = raw.split("#", 1)[0]
-        tokens = [(m.group(), number, m.start() + 1) for m in _TOKEN.finditer(body)]
-        if tokens:
-            rows.append(tokens)
+        words = raw.partition("#")[0].split()
+        if words:
+            rows.append((words, number))
 
     if not rows:
         raise ModelSyntaxError("empty file, expected the header: des v1", 1)
-    head = rows[0]
-    if [word for word, _, _ in head] != ["des", "v1"]:
-        _, line, column = head[0]
-        raise ModelSyntaxError("first directive must be exactly: des v1", line, column)
+    head, line = rows[0]
+    if head != ["des", "v1"]:
+        raise _error("first directive must be exactly: des v1", lines, line)
 
     events: list[tuple[str, bool]] = []
     declared: dict[str, int] = {}
-    initial: tuple[str, int, int] | None = None
+    initial: tuple[str, int] | None = None
     faults: list[str] = []
     transitions: list[tuple[str, str, str, int, int]] = []
 
-    for row in rows[1:]:
-        (keyword, line, column), args = row[0], row[1:]
-        if keyword in ("obs", "hidden"):
-            if not args:
-                raise ModelSyntaxError(
-                    f"{keyword} needs at least one event name", line, column
-                )
-            for name, name_line, name_column in args:
+    for words, line in rows[1:]:
+        keyword = words[0]
+        if keyword == "trans":
+            if len(words) != 4:
+                raise _error("trans takes exactly: source event target", lines, line)
+            _, src, event, dst = words
+            raw = lines[line - 1]
+            column = 1 if raw[0] == "t" else _column(raw, 0)
+            transitions.append((src, event, dst, line, column))
+        elif keyword in ("obs", "hidden"):
+            if len(words) == 1:
+                raise _error(f"{keyword} needs at least one event name", lines, line)
+            for k, name in enumerate(words[1:], start=1):
                 if name in declared:
-                    raise ModelSyntaxError(
-                        f"event {name} already declared on line {declared[name]}",
-                        name_line,
-                        name_column,
-                    )
-                declared[name] = name_line
+                    reason = f"event {name} already declared on line {declared[name]}"
+                    raise _error(reason, lines, line, k)
+                declared[name] = line
                 events.append((name, keyword == "obs"))
         elif keyword == "init":
-            if len(args) != 1:
-                raise ModelSyntaxError(
-                    "init takes exactly one state name", line, column
-                )
+            if len(words) != 2:
+                raise _error("init takes exactly one state name", lines, line)
             if initial is not None:
-                raise ModelSyntaxError(
-                    f"init already given on line {initial[1]}", line, column
-                )
-            initial = args[0]
+                raise _error(f"init already given on line {initial[1]}", lines, line)
+            initial = words[1], line
         elif keyword == "fault":
-            if not args:
-                raise ModelSyntaxError(
-                    "fault needs at least one state name", line, column
-                )
-            faults.extend(name for name, _, _ in args)
-        elif keyword == "trans":
-            if len(args) != 3:
-                raise ModelSyntaxError(
-                    "trans takes exactly: source event target", line, column
-                )
-            (src, _, _), (event, _, _), (dst, _, _) = args
-            transitions.append((src, event, dst, line, column))
+            if len(words) == 1:
+                raise _error("fault needs at least one state name", lines, line)
+            faults.extend(words[1:])
         else:
-            raise ModelSyntaxError(f"unknown directive: {keyword}", line, column)
+            raise _error(f"unknown directive: {keyword}", lines, line)
 
     if initial is None:
         raise ModelSyntaxError("missing init directive", len(lines) or 1)
@@ -120,6 +116,17 @@ def parse_document(text: str) -> ModelDocument:
         faults=tuple(faults),
         transitions=tuple(transitions),
     )
+
+
+def _column(raw: str, k: int) -> int:
+    """The 1-based column of word k of a raw line (its keyword is word 0),
+    found by scanning that line again."""
+    return next(islice(_TOKEN.finditer(raw.partition("#")[0]), k, None)).start() + 1
+
+
+def _error(reason: str, lines: list[str], line: int, k: int = 0) -> ModelSyntaxError:
+    """The error at word k of a line: the directive's keyword by default."""
+    return ModelSyntaxError(reason, line, _column(lines[line - 1], k))
 
 
 def document_to_model(doc: ModelDocument) -> DesModel:

@@ -178,7 +178,7 @@ def _check_names(names: Sequence[str], kind: str) -> None:
     seen: set[str] = set()
     for name in names:
         # "#" starts a comment in the file format, so it could not be read back.
-        if not name or "#" in name or any(c.isspace() for c in name):
+        if "#" in name or name.split() != [name]:  # also refuses the empty name
             raise ValueError(f"bad {kind} name: {name!r}")
         if name in seen:
             raise ValueError(f"duplicate {kind} name: {name}")
@@ -201,32 +201,18 @@ def make_model(
     """
     event_list = [Event(name, bool(obs)) for name, obs in events]
     event_ids = {e.name: i for i, e in enumerate(event_list)}
-
-    order: list[str] = []
-    ids: dict[str, int] = {}
-
-    def intern(name: str) -> int:
-        if name not in ids:
-            ids[name] = len(order)
-            order.append(name)
-        return ids[name]
-
-    init = intern(initial)
-    fault_ids = frozenset(intern(name) for name in faulty)
+    ids = {initial: 0}  # state name -> index, in order of first mention
+    fault_ids = frozenset(ids.setdefault(name, len(ids)) for name in faulty)
     trans: list[Transition] = []
-    seen: set[Transition] = set()
     for src, ev, dst in transitions:
         if ev not in event_ids:
             raise ValueError(f"undeclared event in transition: {ev}")
-        t = (intern(src), event_ids[ev], intern(dst))
-        if t not in seen:
-            seen.add(t)
-            trans.append(t)
+        trans.append((ids.setdefault(src, len(ids)), event_ids[ev], ids.setdefault(dst, len(ids))))
     return DesModel(
-        states=tuple(order),
+        states=tuple(ids),
         events=tuple(event_list),
-        transitions=tuple(trans),
-        initial=init,
+        transitions=tuple(dict.fromkeys(trans)),
+        initial=0,
         faulty=fault_ids,
     )
 

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import random
+import re
 import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faultcast import (
     DesModel,
@@ -16,6 +19,7 @@ from faultcast import (
     parse_model,
     serialize_model,
 )
+from faultcast.desfile import ModelDocument, parse_document
 from faultcast.model import FAULT_CLOSURE
 
 from randmodels import OracleConfig, random_live_model
@@ -245,3 +249,90 @@ def test_duplicate_transitions_collapse():
     text = "des v1\nobs a\ninit A\ntrans A a A\ntrans A a A\n"
     model = parse_model(text)
     assert len(model.transitions) == 1
+
+
+def _finditer_read(text):
+    """What the format says of text, read from an re.finditer(r"\\S+")
+    tokenization that keeps every token's line and column: the
+    ModelDocument, or the (reason, line, column) of the refusal."""
+    lines = text.splitlines()
+    rows = []
+    for number, raw in enumerate(lines, start=1):
+        body = raw.split("#", 1)[0]
+        row = [(m.group(), number, m.start() + 1) for m in re.finditer(r"\S+", body)]
+        if row:
+            rows.append(row)
+    if not rows:
+        return "empty file, expected the header: des v1", 1, None
+    if [word for word, _, _ in rows[0]] != ["des", "v1"]:
+        return "first directive must be exactly: des v1", *rows[0][0][1:]
+    events, declared, faults, transitions = [], {}, [], []
+    initial = None
+    for (keyword, line, column), *args in rows[1:]:
+        names = [name for name, _, _ in args]
+        if keyword in ("obs", "hidden"):
+            if not args:
+                return f"{keyword} needs at least one event name", line, column
+            for name, name_line, name_column in args:
+                if name in declared:
+                    reason = f"event {name} already declared on line {declared[name]}"
+                    return reason, name_line, name_column
+                declared[name] = name_line
+                events.append((name, keyword == "obs"))
+        elif keyword == "init":
+            if len(args) != 1:
+                return "init takes exactly one state name", line, column
+            if initial is not None:
+                return f"init already given on line {initial[1]}", line, column
+            initial = names[0], line
+        elif keyword == "fault":
+            if not args:
+                return "fault needs at least one state name", line, column
+            faults += names
+        elif keyword == "trans":
+            if len(args) != 3:
+                return "trans takes exactly: source event target", line, column
+            transitions.append((*names, line, column))
+        else:
+            return f"unknown directive: {keyword}", line, column
+    if initial is None:
+        return "missing init directive", len(lines) or 1, None
+    return ModelDocument(tuple(events), initial[0], tuple(faults), tuple(transitions))
+
+
+# Separators are str.isspace characters that do not break a line; breaks
+# are every line boundary of str.splitlines.
+_SPACES = " \t\x1f\xa0\u2003\u3000"
+_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1e", "\x85", "\u2028"]
+_NAMES = st.text("abAé1#", min_size=1, max_size=2)
+# Arities around each directive's own, so that many files are accepted.
+_ROWS = st.sampled_from(
+    [("obs", 1, 3), ("obs", 0, 2), ("hidden", 1, 2), ("init", 1, 1), ("init", 0, 2),
+     ("fault", 0, 2), ("trans", 3, 3), ("trans", 3, 3), ("trans", 2, 4), ("state", 0, 1)]
+).flatmap(lambda r: st.lists(_NAMES, min_size=r[1], max_size=r[2]).map(lambda args: [r[0], *args]))
+
+
+@st.composite
+def _model_texts(draw):
+    header = draw(st.sampled_from([["des", "v1"]] * 9 + [["des"], ["des", "v1", "a"], []]))
+    rows = [header, *draw(st.lists(_ROWS, max_size=8))]
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(1, len(rows))), ["init", draw(_NAMES)])
+    out = []
+    for row in rows:
+        out.append(draw(st.text(_SPACES, max_size=2)))
+        for k, word in enumerate(row):
+            out.append(word if k == 0 else draw(st.text(_SPACES, min_size=1, max_size=2)) + word)
+        out.append(draw(st.sampled_from(["", "#", " # a b", "#trans x", "\u3000"])))
+        out.append(draw(st.sampled_from(_BREAKS)))
+    return "".join(out)
+
+
+@settings(max_examples=250, deadline=None)
+@given(_model_texts())
+def test_tokens_and_error_positions_match_a_regex_tokenization(text):
+    try:
+        got = parse_document(text)
+    except ModelSyntaxError as exc:
+        got = exc.reason, exc.line, exc.column
+    assert got == _finditer_read(text)

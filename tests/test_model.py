@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -60,6 +61,20 @@ def test_constructor_rejects_structural_garbage():
         make_model([("a", True)], [("A", "b", "A")], "A")
     with pytest.raises(ValueError, match="duplicate event name: a"):
         make_model([("a", True), ("a", False)], [("A", "a", "A")], "A")
+
+
+
+@pytest.mark.parametrize("name", ["", "a b", " a", "a\t", "a\u3000b", "\xa0", "a\x1fb", "a#"])
+def test_names_the_file_format_cannot_carry_are_refused(name):
+    # A name must be one whole word of the file format: non-empty, no
+    # str.isspace character and no "#".
+    with pytest.raises(ValueError, match=re.escape(f"bad state name: {name!r}")):
+        DesModel((name,), (), (), 0, frozenset())
+    with pytest.raises(ValueError, match=re.escape(f"bad event name: {name!r}")):
+        DesModel(("A",), (Event(name, True),), (), 0, frozenset())
+    # States are checked before events, each in index order.
+    with pytest.raises(ValueError, match=re.escape(f"bad state name: {name!r}")):
+        DesModel(("A", name, "b c"), (Event("d e", True),), (), 0, frozenset())
 
 
 _ONE_EVENT = (Event("a", True),)
