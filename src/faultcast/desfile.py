@@ -15,7 +15,10 @@ The first directive must be the exact header `des v1`.  `obs` and
 `hidden` declare events (each event exactly once, any number of lines),
 `init` names the single initial state, `fault` lines accumulate the fault
 set, and each `trans` line adds one transition.  States are declared
-implicitly by use.  make_model assigns the indices: events in declaration
+implicitly by use.  An event may be declared after a `trans` line that
+uses it: undeclared events are looked for once the whole file is read,
+after a missing `init`, and the first in file order is reported at its
+`trans` keyword.  make_model assigns the indices: events in declaration
 order, states by first mention.  Serialization writes the same shape back,
 so parse and serialize are mutually inverse.
 
@@ -48,16 +51,16 @@ _TOKEN = re.compile(r"\S+")
 
 @dataclass(frozen=True)
 class ModelDocument:
-    """The raw directives of one file, before index assignment."""
+    """The directives of one well-formed file, before index assignment."""
 
     events: tuple[tuple[str, bool], ...]  # (name, observable)
     initial: str
     faults: tuple[str, ...]
-    transitions: tuple[tuple[str, str, str, int, int], ...]  # with line, column
+    transitions: tuple[tuple[str, str, str], ...]  # (source, event, target)
 
 
 def parse_document(text: str) -> ModelDocument:
-    """Split a file into directives, enforcing only the line grammar."""
+    """Split a file into directives, enforcing the whole file grammar."""
     lines = text.splitlines()
     rows: list[tuple[list[str], int]] = []  # (words, line)
     for number, raw in enumerate(lines, start=1):
@@ -66,7 +69,8 @@ def parse_document(text: str) -> ModelDocument:
             rows.append((words, number))
 
     if not rows:
-        raise ModelSyntaxError("empty file, expected the header: des v1", 1)
+        what = "no directive" if text.strip() else "empty file"
+        raise ModelSyntaxError(f"{what}, expected the header: des v1", 1)
     head, line = rows[0]
     if head != ["des", "v1"]:
         raise _error("first directive must be exactly: des v1", lines, line)
@@ -75,17 +79,14 @@ def parse_document(text: str) -> ModelDocument:
     declared: dict[str, int] = {}
     initial: tuple[str, int] | None = None
     faults: list[str] = []
-    transitions: list[tuple[str, str, str, int, int]] = []
+    transitions: list[tuple[str, str, str]] = []
 
     for words, line in rows[1:]:
         keyword = words[0]
         if keyword == "trans":
             if len(words) != 4:
                 raise _error("trans takes exactly: source event target", lines, line)
-            _, src, event, dst = words
-            raw = lines[line - 1]
-            column = 1 if raw[0] == "t" else _column(raw, 0)
-            transitions.append((src, event, dst, line, column))
+            transitions.append((words[1], words[2], words[3]))
         elif keyword in ("obs", "hidden"):
             if len(words) == 1:
                 raise _error(f"{keyword} needs at least one event name", lines, line)
@@ -110,6 +111,9 @@ def parse_document(text: str) -> ModelDocument:
 
     if initial is None:
         raise ModelSyntaxError("missing init directive", len(lines) or 1)
+    for words, line in rows:
+        if words[0] == "trans" and words[2] not in declared:
+            raise _error(f"undeclared event: {words[2]}", lines, line)
     return ModelDocument(
         events=tuple(events),
         initial=initial[0],
@@ -118,33 +122,16 @@ def parse_document(text: str) -> ModelDocument:
     )
 
 
-def _column(raw: str, k: int) -> int:
-    """The 1-based column of word k of a raw line (its keyword is word 0),
-    found by scanning that line again."""
-    return next(islice(_TOKEN.finditer(raw.partition("#")[0]), k, None)).start() + 1
-
-
 def _error(reason: str, lines: list[str], line: int, k: int = 0) -> ModelSyntaxError:
-    """The error at word k of a line: the directive's keyword by default."""
-    return ModelSyntaxError(reason, line, _column(lines[line - 1], k))
+    """The error at word k of a line, the directive's keyword by default,
+    with that word's 1-based column, found by scanning the line again."""
+    words = _TOKEN.finditer(lines[line - 1].partition("#")[0])
+    return ModelSyntaxError(reason, line, next(islice(words, k, None)).start() + 1)
 
 
 def document_to_model(doc: ModelDocument) -> DesModel:
-    """Check that every transition's event is declared, then build the model.
-
-    make_model assigns the indices; an undeclared event is reported here,
-    at its transition's line and column.
-    """
-    declared = {name for name, _ in doc.events}
-    for _, event, _, line, column in doc.transitions:
-        if event not in declared:
-            raise ModelSyntaxError(f"undeclared event: {event}", line, column)
-    return make_model(
-        doc.events,
-        [(src, event, dst) for src, event, dst, _, _ in doc.transitions],
-        doc.initial,
-        doc.faults,
-    )
+    """Build a document's model; make_model assigns the indices."""
+    return make_model(doc.events, doc.transitions, doc.initial, doc.faults)
 
 
 def parse_model(

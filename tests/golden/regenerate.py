@@ -13,7 +13,9 @@ directory of the call.
   engine flushes.
 * parse.json: `validate` and `distances` on small hand-written files,
   one per refusal of the file format and one per accepted oddity: Unicode
-  separators, other line breaks, CRLF, a glued `#` and a byte-order mark.
+  separators, other line breaks, CRLF, a glued `#` and a byte-order mark,
+  and the order in which undeclared events and a missing `init` are
+  reported.
 * analysis.json: `distances`, `twin --witnesses`, `predictability` and
   `query --witness` at i = 0, 1, 2 with three j each, on the belief
   side's first 23 models.
@@ -104,6 +106,11 @@ PARSE_FILES = {
     "duplicate-after-ideographic.des": "des v1\nobs\u3000a\u3000\u3000a\ninit A\n",
     "undeclared-after-line-separators.des": "des v1\u2028obs a\x1cinit A\x1d\xa0trans A b A\n",
     "error-after-crlf.des": "des v1\r\nobs a\r\n\r\ninit A\r\n\x0btrans A a\r\n",
+    # Undeclared events are looked for once the whole file is read.
+    "declared-after-use.des": "des v1\ninit A\nobs a\nfault F\ntrans A b B\ntrans B a A\ntrans B b F\ntrans F a F\nobs b\n",
+    "two-undeclared.des": "des v1\nobs a\ninit A\ntrans A a A\n\ttrans A c B\ntrans B d A\n",
+    "no-init-and-undeclared.des": "des v1\nobs a\ntrans A b A\ntrans A a A\n",
+    "undeclared-after-crlf-tab.des": "des v1\r\nobs a\r\ninit A\r\n\ttrans A a A\r\n\t trans A z A\r\n",
 }
 
 

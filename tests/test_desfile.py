@@ -19,7 +19,7 @@ from faultcast import (
     parse_model,
     serialize_model,
 )
-from faultcast.desfile import ModelDocument, parse_document
+from faultcast.desfile import ModelDocument, document_to_model, parse_document
 from faultcast.model import FAULT_CLOSURE
 
 from randmodels import OracleConfig, random_live_model
@@ -162,6 +162,10 @@ def test_empty_file():
     err = _syntax_error("")
     assert err.line == 1
     assert "des v1" in err.reason
+    err = _syntax_error(" \t\n\u3000\n")
+    assert (err.reason, err.line, err.column) == ("empty file, expected the header: des v1", 1, None)
+    err = _syntax_error("# nothing here\n\n   # nor here\n")
+    assert (err.reason, err.line, err.column) == ("no directive, expected the header: des v1", 1, None)
 
 
 def test_wrong_header():
@@ -213,6 +217,30 @@ def test_undeclared_event():
     err = _syntax_error("des v1\nobs a\ninit A\ntrans A b A\n")
     assert (err.line, err.column) == (4, 1)
     assert "b" in err.reason
+    # The first in file order, at its keyword, once the file is read.
+    err = _syntax_error("des v1\nobs a\ninit A\n  trans A c A\ntrans A b A\nobs b\n")
+    assert (err.reason, err.line, err.column) == ("undeclared event: c", 4, 3)
+    # A missing init is reported first.
+    err = _syntax_error("des v1\nobs a\ntrans A b A\n")
+    assert err.reason == "missing init directive"
+
+
+def test_document_to_model_of_a_hand_built_document():
+    # An undeclared event is refused by make_model, which guards every caller.
+    doc = ModelDocument(
+        events=(("a", True),),
+        initial="A",
+        faults=(),
+        transitions=(("A", "a", "A"), ("A", "b", "A")),
+    )
+    with pytest.raises(ValueError, match="undeclared event in transition: b"):
+        document_to_model(doc)
+    # A parsed document holds triples, here with an event declared after
+    # its use, and gives the model parse_model gives.
+    late = "des v1\ninit A\ntrans A b B\ntrans B b A\nobs b\n"
+    assert parse_document(late).transitions == (("A", "b", "B"), ("B", "b", "A"))
+    for text in (PLANT_TEXT, late):
+        assert document_to_model(parse_document(text)) == parse_model(text, require_valid=False)
 
 
 def test_state_indices_follow_first_mention():
@@ -263,7 +291,8 @@ def _finditer_read(text):
         if row:
             rows.append(row)
     if not rows:
-        return "empty file, expected the header: des v1", 1, None
+        what = "no directive" if re.search(r"\S", text) else "empty file"
+        return f"{what}, expected the header: des v1", 1, None
     if [word for word, _, _ in rows[0]] != ["des", "v1"]:
         return "first directive must be exactly: des v1", *rows[0][0][1:]
     events, declared, faults, transitions = [], {}, [], []
@@ -297,7 +326,11 @@ def _finditer_read(text):
             return f"unknown directive: {keyword}", line, column
     if initial is None:
         return "missing init directive", len(lines) or 1, None
-    return ModelDocument(tuple(events), initial[0], tuple(faults), tuple(transitions))
+    for src, event, dst, line, column in transitions:
+        if event not in declared:
+            return f"undeclared event: {event}", line, column
+    triples = tuple((src, event, dst) for src, event, dst, _, _ in transitions)
+    return ModelDocument(tuple(events), initial[0], tuple(faults), triples)
 
 
 # Separators are str.isspace characters that do not break a line; breaks
@@ -310,14 +343,24 @@ _ROWS = st.sampled_from(
     [("obs", 1, 3), ("obs", 0, 2), ("hidden", 1, 2), ("init", 1, 1), ("init", 0, 2),
      ("fault", 0, 2), ("trans", 3, 3), ("trans", 3, 3), ("trans", 2, 4), ("state", 0, 1)]
 ).flatmap(lambda r: st.lists(_NAMES, min_size=r[1], max_size=r[2]).map(lambda args: [r[0], *args]))
+# Well-formed rows over three event names and names without "#", so that
+# many files reach the undeclared-event check, some with more than one
+# undeclared event.
+_EVENTS = st.sampled_from(["a", "b", "é"])
+_STATES = st.text("abAé1", min_size=1, max_size=2)
+_WELL_FORMED = st.one_of(
+    st.lists(_EVENTS, min_size=1, max_size=2, unique=True).map(lambda names: ["obs", *names]),
+    st.tuples(_STATES, _EVENTS, _STATES).map(lambda args: ["trans", *args]),
+)
 
 
 @st.composite
 def _model_texts(draw):
     header = draw(st.sampled_from([["des", "v1"]] * 9 + [["des"], ["des", "v1", "a"], []]))
-    rows = [header, *draw(st.lists(_ROWS, max_size=8))]
-    if draw(st.booleans()):
-        rows.insert(draw(st.integers(1, len(rows))), ["init", draw(_NAMES)])
+    well_formed = draw(st.booleans())
+    rows = [header, *draw(st.lists(_WELL_FORMED if well_formed else _ROWS, max_size=8))]
+    if well_formed or draw(st.booleans()):
+        rows.insert(draw(st.integers(1, len(rows))), ["init", draw(_STATES if well_formed else _NAMES)])
     out = []
     for row in rows:
         out.append(draw(st.text(_SPACES, max_size=2)))

@@ -66,7 +66,7 @@ def test_recorded_parse_answers_are_unchanged(capsys, monkeypatch, tmp_path):
     errors = "".join(r["stderr"] for r in golden["records"])
     # Every refusal of the file format is on record.
     for reason in (
-        "empty file", "first directive", "unknown directive", "obs needs", "hidden needs",
+        "empty file", "no directive", "first directive", "unknown directive", "obs needs", "hidden needs",
         "already declared", "init takes", "init already given", "missing init",
         "fault needs", "trans takes", "undeclared event",
     ):
