@@ -14,7 +14,8 @@ time i it holds the tightest honest promise p[i], finite or not; a
 verdict, for a finite or an unbounded promise, reads p[i] and p[i - 1].
 The distinct pair hulls stay as the explanatory inventory: a refusal
 names the first of them, tightest lead time first, that strictly
-contains the query, found by a per-row lookup.  A hull's witness is
+contains the query, found by bisecting each row's tuple of upper ends.
+Every other verdict is one of two shared constants.  A hull's witness is
 replayed from the twin's parent links only when it is read.
 """
 
@@ -23,7 +24,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from operator import attrgetter
 from typing import Optional
 
 from .distances import DistanceTable, compute_distances
@@ -54,7 +54,8 @@ class PredictabilityFrontier:
     """Everything needed to answer predictability queries for one model.
 
     ``rows[lo]`` holds the hulls with lower bound ``lo``, for every lead
-    time the frontier covers, by ascending upper bound.
+    time the frontier covers, by ascending upper bound, and ``ends[lo]``
+    their upper bounds, the keys a refusal bisects.
     """
 
     dmin_init: ExtNat
@@ -62,12 +63,18 @@ class PredictabilityFrontier:
     p: tuple[ExtNat, ...]
     hulls: tuple[HullEntry, ...]
     rows: tuple[tuple[HullEntry, ...], ...]
+    ends: tuple[tuple[ExtNat, ...], ...]
 
 
 @dataclass(frozen=True)
 class QueryVerdict:
     predictable: bool
     blocking: Optional[HullEntry]
+
+
+# The verdicts that name no hull, shared by every query that gives them.
+_PREDICTABLE = QueryVerdict(True, None)
+_OUT_OF_REACH = QueryVerdict(False, None)
 
 
 def compute_frontier(
@@ -109,9 +116,10 @@ def compute_frontier(
         hulls.append(entry)
         if lo <= limit:
             rows[lo].append(entry)
+    ends = tuple(tuple(entry.interval.hi for entry in row) for row in rows)
     # At lead time i a hull of row i refuses promises below its end, and a
     # hull of a lower row refuses promises up to and including its end.
-    tops = [row[-1].interval.hi if row else -1 for row in rows]
+    tops = [row[-1] if row else -1 for row in ends]
     below = accumulate([-1, *tops], max)  # the widest end over rows < i
     p = tuple(max(i, top, low + 1) for i, (top, low) in enumerate(zip(tops, below)))
     return PredictabilityFrontier(
@@ -120,10 +128,8 @@ def compute_frontier(
         p=p,
         hulls=tuple(hulls),
         rows=tuple(map(tuple, rows)),
+        ends=ends,
     )
-
-
-_upper = attrgetter("interval.hi")
 
 
 def _check_lead_time(i: object) -> None:
@@ -141,35 +147,39 @@ def is_ij_predictable(
     and p[i - 1] is finite (for i > 0).  A refusal within reach names its
     blocking hull.
     """
-    _check_lead_time(i)
-    Interval(i, j)  # refuses j < i and a j that is not an extended natural
+    # Other types, int subclasses included, take the checks that word refusals.
+    if not (type(i) is int and i >= 0 and (type(j) is int and j >= i or j == INF)):
+        _check_lead_time(i)
+        Interval(i, j)  # refuses j < i and a j that is not an extended natural
     if frontier.vacuous:
-        return QueryVerdict(True, None)
+        return _PREDICTABLE
     if i > frontier.dmin_init:
-        return QueryVerdict(False, None)
+        return _OUT_OF_REACH
     # p[i - 1] is inf exactly when a hull (lo < i, inf) is reachable; such a
     # hull strictly contains (i, inf), so it refuses every promise.  p never
     # decreases, so for a finite j that case already fails j >= p[i].
     p = frontier.p
     if j >= p[i] and (i == 0 or p[i - 1] != INF):
-        return QueryVerdict(True, None)
+        return _PREDICTABLE
     return QueryVerdict(False, _blocking(frontier, i, j))
 
 
 def _blocking(frontier: PredictabilityFrontier, i: int, j: ExtNat) -> Optional[HullEntry]:
-    """The first hull, in the frontier's hull order, strictly containing (i, j)."""
+    """The first hull, in the frontier's hull order, strictly containing
+    (i, j), found by bisecting each row's tuple of upper ends."""
     for lo in range(i, -1, -1):
-        row = frontier.rows[lo]
+        ends = frontier.ends[lo]
         # Row i holds (i, j) strictly only above j; lower rows from j on.
-        k = (bisect_right if lo == i else bisect_left)(row, j, key=_upper)
-        if k < len(row):
-            return row[k]
+        k = (bisect_right if lo == i else bisect_left)(ends, j)
+        if k < len(ends):
+            return frontier.rows[lo][k]
     return None
 
 
 def is_i_predictable(frontier: PredictabilityFrontier, i: int) -> bool:
     """Is some finite promise j achievable at lead time i?"""
-    _check_lead_time(i)
+    if not (type(i) is int and i >= 0):
+        _check_lead_time(i)
     return frontier.vacuous or (i <= frontier.dmin_init and frontier.p[i] != INF)
 
 

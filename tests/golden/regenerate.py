@@ -1,4 +1,4 @@
-"""Rewrite the recorded CLI answers: belief.json, parse.json and analysis.json.
+"""Rewrite the recorded CLI answers: belief.json, parse.json, analysis.json and bench.json.
 
 Each record holds the argv of one `faultcast` call, the stdin it read, and
 its exit code, stdout and stderr; each file also holds the model texts
@@ -19,6 +19,12 @@ directory of the call.
 * analysis.json: `distances`, `twin --witnesses`, `predictability` and
   `query --witness` at i = 0, 1, 2 with three j each, on the belief
   side's first 23 models.
+* bench.json: `predictability` and `query --witness` on the seed-1
+  inputs of the benchmark's two workloads, written by
+  bench/workloads.py: on doomed-800 (1,789 hulls) accepts, refusals
+  blocked in row i, j = inf and a lead time past dmin(initial); on
+  monitor-200 i = 0..3 with j = i and j = inf, where (1, inf) and
+  (2, inf) are refused by a hull of a lower row.
 
 tests/test_golden.py replays every record through `cli.main` and requires
 the same answers.
@@ -47,6 +53,10 @@ from faultcast.cli import main
 from randmodels import OracleConfig, _draw_model, random_live_model, sample_run
 
 GOLDEN = Path(__file__).parent
+sys.path.insert(0, str(GOLDEN.parent.parent / "bench"))
+
+from workloads import GENERATORS  # noqa: E402
+
 CAP = "300"  # a compile past it is recorded as the refusal it is
 NODE_CAPS = (2, 4)  # engine ceilings low enough that a predict stream flushes
 FLUSHED = 8  # the models, in order, whose predict streams also run under NODE_CAPS
@@ -224,8 +234,26 @@ def analysis_records() -> dict:
     return {"models": texts, "records": replay(texts, calls)}
 
 
+# Input file -> (workload, seed-1 (i, j) queries).  On doomed-800 the rows'
+# top ends rise strictly, so no refusal there is blocked in a lower row.
+BENCH_QUERIES = {
+    "doomed800.des": ("doomed-800", [(0, 131), (0, 132), (7, 100), (12, 219), (20, 239), (20, 240), (5, "inf"), (21, "inf")]),
+    "monitor200.des": ("monitor-200", [(i, j) for i in range(4) for j in (i, "inf")]),
+}
+
+
+def bench_records() -> dict:
+    texts = {name: GENERATORS[workload](1).text() for name, (workload, _) in BENCH_QUERIES.items()}
+    calls = []
+    for name, (_, queries) in BENCH_QUERIES.items():
+        calls.append((["predictability", name], "", None))
+        calls += [(["query", "--witness", "-i", str(i), "-j", str(j), name], "", None) for i, j in queries]
+    return {"models": texts, "records": replay(texts, calls)}
+
+
 if __name__ == "__main__":
-    for name, make in (("belief", belief_records), ("parse", parse_records), ("analysis", analysis_records)):
+    makers = (("belief", belief_records), ("parse", parse_records), ("analysis", analysis_records), ("bench", bench_records))
+    for name, make in makers:
         path = GOLDEN / f"{name}.json"
         path.write_text(json.dumps(make(), indent=1) + "\n")
         print(f"wrote {path}")

@@ -5,8 +5,10 @@ stdin, exit code, stdout and stderr: belief.json the belief side
 (`predict`, `compile`, with the engine node cap of the calls made under
 one), parse.json the file format's refusals and accepted oddities
 (`validate`, `distances`), and analysis.json the analysis commands
-(`distances`, `twin --witnesses`, `predictability`, `query --witness`).
-tests/golden/regenerate.py rewrites them.
+(`distances`, `twin --witnesses`, `predictability`, `query --witness`),
+and bench.json `predictability` and `query --witness` on the seed-1
+inputs of the benchmark's workloads.  tests/golden/regenerate.py
+rewrites them.
 """
 
 from __future__ import annotations
@@ -78,4 +80,15 @@ def test_recorded_parse_answers_are_unchanged(capsys, monkeypatch, tmp_path):
 def test_recorded_analysis_answers_are_unchanged(capsys, monkeypatch, tmp_path):
     golden = _load("analysis.json")
     assert {r["exit"] for r in golden["records"]} == {0, 1}
+    _replay(golden, capsys, monkeypatch, tmp_path)
+
+
+def test_recorded_bench_scale_answers_are_unchanged(capsys, monkeypatch, tmp_path):
+    golden = _load("bench.json")
+    queries = [r for r in golden["records"] if r["argv"][0] == "query"]
+    out = "".join(r["stdout"] for r in queries)
+    assert {r["exit"] for r in queries} == {0, 1}
+    # A refusal in row i, one by a lower row's hull, and one past dmin(initial).
+    assert "blocking hull: 7 101" in out and "blocking hull: 0 inf" in out
+    assert "exceeds the initial fault distance 20" in out
     _replay(golden, capsys, monkeypatch, tmp_path)

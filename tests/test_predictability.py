@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from enum import IntEnum
 
 import pytest
 
@@ -321,15 +322,50 @@ def test_is_i_predictable_refuses_bad_lead_times(plant_analysis, fan2_analysis):
     # The same check as is_ij_predictable, on a faulty and a fault-free model.
     for frontier in (plant_analysis.frontier, fan2_analysis.frontier):
         for bad in (-1, True, False, 1.5, INF, "1"):
-            with pytest.raises(InvalidIntervalError):
+            with pytest.raises(InvalidIntervalError) as caught:
                 is_i_predictable(frontier, bad)
+            assert str(caught.value) == f"lead time must be a finite natural: {bad!r}"
 
 
 def test_invalid_queries_raise_on_every_model(plant_analysis, fan2_analysis):
+    # The lead time is checked first, then the interval; each refusal's wording is pinned.
+    cases = [
+        (2, 1, "lower bound exceeds upper bound: (2, 1)"),
+        (-1, 2, "lead time must be a finite natural: -1"),
+        (True, 2, "lead time must be a finite natural: True"),
+        (False, 2, "lead time must be a finite natural: False"),
+        (1, -1, "bounds must be naturals or inf: (1, -1)"),
+        (1, 1.5, "bounds must be naturals or inf: (1, 1.5)"),
+        (1, True, "bounds must be naturals or inf: (1, True)"),
+        (1, "3", "bounds must be naturals or inf: (1, 3)"),
+        (1, float("nan"), "bounds must be naturals or inf: (1, nan)"),
+        (1, 2.0, "bounds must be naturals or inf: (1, 2.0)"),
+    ]
     for frontier in (plant_analysis.frontier, fan2_analysis.frontier):
-        for i, j in [(2, 1), (-1, 2), (True, 2), (False, 2), (1, -1), (1, 1.5), (1, True), (1, "3")]:
-            with pytest.raises(InvalidIntervalError):
+        for i, j, message in cases:
+            with pytest.raises(InvalidIntervalError) as caught:
                 is_ij_predictable(frontier, i, j)
+            assert str(caught.value) == message, (i, j)
+
+
+def test_int_subclass_arguments_answer_as_plain_ints(
+    plant_analysis, short_analysis, long_analysis, fan2_analysis
+):
+    Nat = IntEnum("Nat", [(f"n{k}", k) for k in range(40)])
+    checked = blocked = 0
+    for analysis in (plant_analysis, short_analysis, long_analysis, fan2_analysis):
+        frontier = analysis.frontier
+        for i, promises in _dense_grid(frontier, len(analysis.model.states)):
+            assert is_i_predictable(frontier, Nat(i)) == is_i_predictable(frontier, i)
+            for j in promises:
+                want = is_ij_predictable(frontier, i, j)
+                queries = [(Nat(i), j)] + ([] if j == INF else [(i, Nat(j)), (Nat(i), Nat(j))])
+                for lead, promise in queries:
+                    got = is_ij_predictable(frontier, lead, promise)
+                    assert got == want and got.blocking is want.blocking, (analysis.model, lead, promise)
+                    checked += 1
+                blocked += want.blocking is not None
+    assert checked > 100 and blocked > 5
 
 
 def _dense_grid(frontier, n_states):
@@ -380,12 +416,19 @@ def test_frontier_lookup_matches_the_hull_scan():
         # |Q| - 1, so no row is cut off.
         last_row = len(model.states) if frontier.vacuous else frontier.dmin_init
         assert len(frontier.p) == last_row + 1, model
+        # Each row's ends are its hulls' upper bounds, ascending: the keys a refusal bisects.
+        assert len(frontier.ends) == len(frontier.rows), model
+        for row, ends in zip(frontier.rows, frontier.ends):
+            assert ends == tuple(entry.interval.hi for entry in row) == tuple(sorted(ends)), model
         horizon = None
         for i, promises in _dense_grid(frontier, len(model.states)):
             tightest = None
             for j in promises:
                 verdict = is_ij_predictable(frontier, i, j)
-                assert verdict == scan_is_ij_predictable(frontier, i, j), (model, i, j)
+                want = scan_is_ij_predictable(frontier, i, j)
+                assert verdict == want, (model, i, j)
+                if want.blocking is None:
+                    assert repr(verdict) == repr(want), (model, i, j)
                 refusals += not verdict.predictable
                 blocked += verdict.blocking is not None
                 if verdict.predictable and j != INF and tightest is None:
