@@ -16,21 +16,24 @@ directory of the call.
   separators, other line breaks, CRLF, a glued `#` and a byte-order mark,
   and the order in which undeclared events and a missing `init` are
   reported.
-* analysis.json: `distances`, `twin --witnesses`, `predictability` and
-  `query --witness` at i = 0, 1, 2 with three j each, on the belief
-  side's first 23 models.
+* analysis.json: `distances`, `twin --witnesses`, `predictability`
+  (text and `--format json`), and `query --witness` and
+  `query --format json` at i = 0, 1, 2 with three j each, on the belief
+  side's first 23 models; and `twin --dot -` on the drifting plant and
+  on two models whose state names hold quotes, backslashes and commas.
 * bench.json: `predictability` and `query --witness` on the seed-1
   inputs of the benchmark's two workloads, written by
   bench/workloads.py: on doomed-800 (1,789 hulls) accepts, refusals
   blocked in row i, j = inf and a lead time past dmin(initial); on
   monitor-200 i = 0..3 with j = i and j = inf, where (1, inf) and
-  (2, inf) are refused by a hull of a lower row.
+  (2, inf) are refused by a hull of a lower row; and doomed-800's
+  `compile --cap 12000` refusal.
 
 tests/test_golden.py replays every record through `cli.main` and requires
 the same answers.
 
 Run from the repository root, after a change that is meant to alter an
-answer, and review the diff of the three files:
+answer, and review the diff of the four files:
 
     PYTHONPATH=src:tests python tests/golden/regenerate.py
 """
@@ -222,15 +225,35 @@ def parse_records() -> dict:
     return {"models": PARSE_FILES, "records": replay(PARSE_FILES, calls)}
 
 
+# State names that DOT labels must quote and escape, and ones that hold
+# commas, so that two pairs share a label "a,b,c" but not an id.
+DOT_FILES = {
+    "quoted.des": (
+        'des v1\nobs a b\nhidden h\ninit "B\nfault x"y\\\n'
+        'trans "B a a\\b\ntrans a\\b h "B\ntrans "B b x"y\\\n'
+        'trans x"y\\ a x"y\\\ntrans a\\b a x"y\\\n'
+    ),
+    "commas.des": (
+        "des v1\nobs x\ninit i\n"
+        "trans i x a,b\ntrans i x c\ntrans i x a\ntrans i x b,c\n"
+        "trans a,b x a,b\ntrans c x c\ntrans a x a\ntrans b,c x b,c\n"
+    ),
+}
+
+
 def analysis_records() -> dict:
     texts = {name: serialize_model(model) for name, (model, _) in models().items()}
     calls = []
     for name in texts:
         calls += [([command, name], "", None) for command in ("distances", "predictability")]
+        calls.append((["predictability", "--format", "json", name], "", None))
         calls.append((["twin", "--witnesses", name], "", None))
         for i in range(3):
             for j in (str(i), str(i + 3), "inf"):
                 calls.append((["query", "--witness", "-i", str(i), "-j", j, name], "", None))
+                calls.append((["query", "--format", "json", "-i", str(i), "-j", j, name], "", None))
+    texts |= DOT_FILES
+    calls += [(["twin", "--dot", "-", name], "", None) for name in ("plant.des", *DOT_FILES)]
     return {"models": texts, "records": replay(texts, calls)}
 
 
@@ -248,6 +271,7 @@ def bench_records() -> dict:
     for name, (_, queries) in BENCH_QUERIES.items():
         calls.append((["predictability", name], "", None))
         calls += [(["query", "--witness", "-i", str(i), "-j", str(j), name], "", None) for i, j in queries]
+    calls.append((["compile", "--cap", "12000", "doomed800.des"], "", None))
     return {"models": texts, "records": replay(texts, calls)}
 
 

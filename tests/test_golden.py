@@ -5,9 +5,10 @@ stdin, exit code, stdout and stderr: belief.json the belief side
 (`predict`, `compile`, with the engine node cap of the calls made under
 one), parse.json the file format's refusals and accepted oddities
 (`validate`, `distances`), and analysis.json the analysis commands
-(`distances`, `twin --witnesses`, `predictability`, `query --witness`),
-and bench.json `predictability` and `query --witness` on the seed-1
-inputs of the benchmark's workloads.  tests/golden/regenerate.py
+(`distances`, `twin --witnesses`, `twin --dot`, `predictability` and
+`query --witness`, the last two also as JSON), and bench.json
+`predictability`, `query --witness` and a refused `compile` on the
+seed-1 inputs of the benchmark's workloads.  tests/golden/regenerate.py
 rewrites them.
 """
 
@@ -79,7 +80,11 @@ def test_recorded_parse_answers_are_unchanged(capsys, monkeypatch, tmp_path):
 
 def test_recorded_analysis_answers_are_unchanged(capsys, monkeypatch, tmp_path):
     golden = _load("analysis.json")
-    assert {r["exit"] for r in golden["records"]} == {0, 1}
+    records = golden["records"]
+    assert {r["exit"] for r in records} == {0, 1}
+    # JSON verdicts with a blocking object, and DOT pair graphs with quoted labels.
+    assert any("--format" in r["argv"] and '"blocking"' in r["stdout"] for r in records)
+    assert any("--dot" in r["argv"] and '\\"' in r["stdout"] for r in records)
     _replay(golden, capsys, monkeypatch, tmp_path)
 
 
@@ -91,4 +96,5 @@ def test_recorded_bench_scale_answers_are_unchanged(capsys, monkeypatch, tmp_pat
     # A refusal in row i, one by a lower row's hull, and one past dmin(initial).
     assert "blocking hull: 7 101" in out and "blocking hull: 0 inf" in out
     assert "exceeds the initial fault distance 20" in out
+    assert any("cap exceeded" in r["stderr"] for r in golden["records"])
     _replay(golden, capsys, monkeypatch, tmp_path)
