@@ -22,11 +22,11 @@ only its node; compile_predictor numbers its own nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, reduce
 from itertools import compress
 from operator import getitem, or_
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 from .distances import DistanceTable
 from .errors import CapExceededError, ImpossibleObservationError
@@ -39,22 +39,18 @@ from .model import DesModel, unobservable_closure
 DEFAULT_NODE_CAP = 1 << 16
 
 
-@dataclass(frozen=True)
-class BeliefState:
-    """A non-empty set of possible states with its hull interval.
+class BeliefState(namedtuple("BeliefState", "mask interval witnesses")):
+    """A non-empty set of possible states with its hull Interval.
 
     mask is the belief: bit q is set when state q is a member; members is
-    decoded from it on first read.  witnesses holds the least member
-    reaching the lower bound and the least reaching the upper bound.
+    decoded from it the first time it is read, and kept in the instance's
+    __dict__.  witnesses holds the least member reaching the lower bound
+    and the least reaching the upper bound.
     """
-
-    mask: int
-    interval: Interval
-    witnesses: tuple[int, int]
 
     @cached_property
     def members(self) -> frozenset[int]:
-        """The member states, decoded from mask on first read."""
+        """The member states, decoded from mask the first time they are read."""
         return frozenset(_members(self.mask))
 
     def __repr__(self) -> str:
@@ -270,8 +266,7 @@ class PredictionSession:
         return node.interval
 
 
-@dataclass(frozen=True)
-class BeliefAutomaton:
+class BeliefAutomaton(NamedTuple):
     """Every reachable belief, with one edge per feasible observation."""
 
     nodes: tuple[BeliefState, ...]

@@ -39,9 +39,9 @@ apply the closure instead.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import groupby, islice
 from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import ModelSyntaxError
 from .model import DesModel, check_valid, fault_closure, make_model
@@ -49,8 +49,7 @@ from .model import DesModel, check_valid, fault_closure, make_model
 _TOKEN = re.compile(r"\S+")
 
 
-@dataclass(frozen=True)
-class ModelDocument:
+class ModelDocument(NamedTuple):
     """The directives of one well-formed file, before index assignment."""
 
     events: tuple[tuple[str, bool], ...]  # (name, observable)

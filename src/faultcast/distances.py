@@ -15,10 +15,12 @@ The three computations:
   unobservable ones cost 0, run over reversed edges with a two-bucket
   queue (current distance and current distance + 1), linear in the
   transition count.
-* avoid set: states able to stay outside the fault set forever, obtained
-  by repeatedly deleting non-faulty states whose every non-faulty
-  successor has already been deleted; what survives can always take one
-  more step outside the fault set.
+* avoid set: states able to stay outside the fault set forever, or to
+  end a run outside it at a non-faulty dead end (possible only in an
+  unvalidated model), obtained by repeatedly deleting non-faulty states
+  that have a move and whose every non-faulty successor has already been
+  deleted; what survives can always take one more step outside the fault
+  set, or has none to take.  So dmin = INF implies dmax = INF.
 * dmax: the deleted states, in deletion order, each after all of its
   non-faulty successors; none of those is in the avoid set, or it would
   have kept the state from deletion.  One pass along that order computes
@@ -29,14 +31,13 @@ The three computations:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .intervals import INF, ExtNat
 from .model import DesModel
 
 
-@dataclass(frozen=True)
-class DistanceTable:
+class DistanceTable(NamedTuple):
     """dmin/dmax per state plus the avoid set they were derived from."""
 
     dmin: tuple[ExtNat, ...]
@@ -92,15 +93,20 @@ def _doomed_order(model: DesModel) -> list[int]:
     """Non-faulty states that cannot avoid the fault set, in deletion order.
 
     A state is deleted once all of its non-faulty successors have been, so
-    each comes after every one of them.
+    each comes after every one of them.  A dead end is never deleted: its
+    runs end without the fault.
     """
     n = len(model.states)
     faulty = model.faulty
+    observable, silent = model.move_tables
     escape_routes = [0] * n
     for src, _, dst in model.transitions:
         if src not in faulty and dst not in faulty:
             escape_routes[src] += 1
-    doomed = [q for q in range(n) if q not in faulty and escape_routes[q] == 0]
+    doomed = [
+        q for q in range(n)
+        if q not in faulty and escape_routes[q] == 0 and (observable[q] or silent[q])
+    ]
     for q in doomed:  # grows as states are deleted
         for src, _, _ in model.incoming[q]:
             if src not in faulty:

@@ -11,7 +11,7 @@ one bound as text.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Union
 
 from .errors import InvalidIntervalError
@@ -44,19 +44,14 @@ def parse_extnat(text: str) -> ExtNat:
     return int(text)
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(namedtuple("Interval", "lo hi")):
     """A closed interval (lo, hi) of extended naturals with lo <= hi."""
 
-    lo: ExtNat
-    hi: ExtNat
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not is_extnat(self.lo) or not is_extnat(self.hi):
-            raise InvalidIntervalError(
-                f"bounds must be naturals or inf: ({self.lo}, {self.hi})"
-            )
-        if self.lo > self.hi:
-            raise InvalidIntervalError(
-                f"lower bound exceeds upper bound: ({self.lo}, {self.hi})"
-            )
+    def __new__(cls, lo: ExtNat, hi: ExtNat) -> Interval:
+        if not is_extnat(lo) or not is_extnat(hi):
+            raise InvalidIntervalError(f"bounds must be naturals or inf: ({lo}, {hi})")
+        if lo > hi:
+            raise InvalidIntervalError(f"lower bound exceeds upper bound: ({lo}, {hi})")
+        return super().__new__(cls, lo, hi)

@@ -25,11 +25,10 @@ InvalidModelError carrying them.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Mapping, Sequence, Tuple
+from typing import Iterable, Mapping, NamedTuple, Sequence, Tuple
 
 from .errors import InitialFaultyError, InvalidModelError
 
@@ -37,34 +36,27 @@ from .errors import InitialFaultyError, InvalidModelError
 Transition = Tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """A named event with its visibility flag."""
 
     name: str
     observable: bool
 
 
-@dataclass(frozen=True, eq=False)
-class DesModel:
-    """An immutable discrete event system model.
+class DesModel(namedtuple("DesModel", "states events transitions initial faulty")):
+    """An immutable discrete event system model: the state names, the
+    Events, the (source, event, target) index triples, the initial state's
+    index and the frozenset of faulty indices.
 
     Equality and hashing are semantic: two models are equal when they have
     the same named states, events (with visibility), transitions, initial
-    state and fault set, regardless of index assignment.
+    state and fault set, regardless of index assignment.  An instance keeps
+    a __dict__ only for the tables it builds on first use.
     """
 
-    states: tuple[str, ...]
-    events: tuple[Event, ...]
-    transitions: tuple[Transition, ...]
-    initial: int
-    faulty: frozenset[int]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(self, "events", tuple(self.events))
-        object.__setattr__(self, "transitions", tuple(self.transitions))
-        object.__setattr__(self, "faulty", frozenset(self.faulty))
+    def __new__(cls, states, events, transitions, initial: int, faulty) -> DesModel:
+        faulty = frozenset(faulty)
+        self = super().__new__(cls, tuple(states), tuple(events), tuple(transitions), initial, faulty)
         _check_names(self.states, "state")
         _check_names([e.name for e in self.events], "event")
         if not self.states:
@@ -81,6 +73,7 @@ class DesModel:
                 raise ValueError(f"transition state index out of range: {t}")
             if not 0 <= ev < len(self.events):
                 raise ValueError(f"transition event index out of range: {t}")
+        return self
 
     # -- naming ---------------------------------------------------------
 
@@ -226,8 +219,7 @@ INITIAL_FAULTY = "initial-faulty"
 OBSERVATION_LIVENESS = "observation-liveness"
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     """One validation problem: what rule broke, and where."""
 
     code: str

@@ -87,7 +87,9 @@ def oracle_avoid_set(model: DesModel) -> frozenset[int]:
 
     A non-faulty state can dodge the fault set forever exactly when the
     non-faulty subgraph lets it reach a cycle, i.e. a strongly connected
-    component that is nontrivial or carries a self-loop.
+    component that is nontrivial or carries a self-loop.  Reaching a dead
+    end there, a state with no move at all, avoids the fault as well: the
+    run ends without it.
     """
     nodes = [q for q in range(len(model.states)) if q not in model.faulty]
     node_set = set(nodes)
@@ -105,9 +107,11 @@ def oracle_avoid_set(model: DesModel) -> frozenset[int]:
     for component in components:
         if len(component) > 1 or component[0] in self_loop:
             cyclic.update(component)
-    # Everything that reaches a cyclic component can loop forever.
-    result = set(cyclic)
-    frontier = deque(cyclic)
+    dead_ends = node_set.difference(src for src, _, _ in model.transitions)
+    # Everything that reaches a cyclic component can loop forever; or it
+    # can stop at a dead end.
+    result = cyclic | dead_ends
+    frontier = deque(result)
     while frontier:
         q = frontier.popleft()
         for src in pred[q]:

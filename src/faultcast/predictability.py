@@ -22,9 +22,9 @@ replayed from the twin's parent links only when it is read.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import accumulate
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .distances import DistanceTable, compute_distances
 from .errors import InvalidIntervalError
@@ -33,14 +33,15 @@ from .model import DesModel
 from .twin import Pair, TwinReachability, build_twin, witness_observations
 
 
-@dataclass(frozen=True)
-class HullEntry:
-    """One distinct pair hull: the interval and a pair achieving it.  The
-    twin, outside equality and hashing, replays the witness on read."""
+class HullEntry(namedtuple("HullEntry", "interval pair")):
+    """One distinct pair hull: the Interval and a pair achieving it.  The
+    twin, an attribute outside the tuple and so outside equality, hashing
+    and repr, replays the witness on read."""
 
-    interval: Interval
-    pair: Pair
-    twin: TwinReachability = field(repr=False, compare=False)
+    def __new__(cls, interval: Interval, pair: Pair, twin: TwinReachability) -> HullEntry:
+        self = super().__new__(cls, interval, pair)
+        self.twin = twin
+        return self
 
     @property
     def witness(self) -> tuple[int, ...] | None:
@@ -49,8 +50,7 @@ class HullEntry:
         return None if links is None else tuple(witness_observations(self.twin, self.pair))
 
 
-@dataclass(frozen=True)
-class PredictabilityFrontier:
+class PredictabilityFrontier(NamedTuple):
     """Everything needed to answer predictability queries for one model.
 
     ``rows[lo]`` holds the hulls with lower bound ``lo``, for every lead
@@ -66,8 +66,7 @@ class PredictabilityFrontier:
     ends: tuple[tuple[ExtNat, ...], ...]
 
 
-@dataclass(frozen=True)
-class QueryVerdict:
+class QueryVerdict(NamedTuple):
     predictable: bool
     blocking: Optional[HullEntry]
 
@@ -196,8 +195,7 @@ def best_horizon(frontier: PredictabilityFrontier) -> Optional[tuple[int, ExtNat
     return (finite[-1], frontier.p[finite[-1]]) if finite else None
 
 
-@dataclass(frozen=True)
-class Analysis:
+class Analysis(NamedTuple):
     """One-stop bundle: model, distances, twin relation, and frontier."""
 
     model: DesModel

@@ -22,9 +22,9 @@ there the search is linear in the reachable states and their moves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Optional
 
 from .errors import NoWitnessError
 from .model import DesModel
@@ -36,21 +36,17 @@ Pair = tuple[int, int]
 ParentLink = tuple[int, Optional[int]]
 
 
-@dataclass(frozen=True)
-class TwinReachability:
+class TwinReachability(namedtuple("TwinReachability", "codes size parents")):
     """The confusable-pair relation of one model, held as pair codes.
 
     codes maps each pair code q1 * size + q2, q1 <= q2, to its parent link,
-    or to None when links were not recorded; parents is codes when they were.
+    or to None when links were not recorded; parents is codes when they
+    were, else None.  size is the model's state count.
     """
-
-    codes: Mapping[int, ParentLink | None]
-    size: int
-    parents: Mapping[int, ParentLink | None] | None
 
     @cached_property
     def pairs(self) -> frozenset[Pair]:
-        """The pairs as (min, max) tuples, built on first use."""
+        """The pairs as (min, max) tuples, built the first time they are read."""
         # The tuples share one int per state; fresh ints nearly double the memory.
         n, states = self.size, tuple(range(self.size))
         return frozenset((states[code // n], states[code % n]) for code in self.codes)

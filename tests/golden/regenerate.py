@@ -64,8 +64,8 @@ CAP = "300"  # a compile past it is recorded as the refusal it is
 NODE_CAPS = (2, 4)  # engine ceilings low enough that a predict stream flushes
 FLUSHED = 8  # the models, in order, whose predict streams also run under NODE_CAPS
 
-# Fails liveness: d is a non-faulty dead end, with dmin inf and dmax 1,
-# so the belief {q, d} after "a" has the hull (1, 3), not (1, inf).
+# Fails liveness: d is a non-faulty dead end, which avoids the fault, with
+# dmin and dmax inf, so the belief {q, d} after "a" has the hull (1, inf).
 DEAD_END = """\
 des v1
 obs a b

@@ -1,5 +1,6 @@
-"""Interval containment and decrement, the two fuse models, and small
-readers of models and state sets, for tests.
+"""Interval containment and decrement, the two fuse models, small
+readers of models and state sets, and a model rebuilt with some fields
+replaced, for tests.
 
 A plain helper module of the test suite, imported as `helpers`; the
 package never imports it.  The interval functions state how promises
@@ -47,6 +48,12 @@ def by_state_name(model: DesModel, values) -> dict:
 def mask_of(states) -> int:
     """The bit mask of a set of state indexes."""
     return sum(1 << q for q in states)
+
+
+def rebuilt(model: DesModel, **fields) -> DesModel:
+    """The model with the given fields replaced, built again through the
+    DesModel constructor, so that its checks run on the new fields."""
+    return DesModel(**{**model._asdict(), **fields})
 
 
 def is_deterministic(model: DesModel) -> bool:

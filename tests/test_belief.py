@@ -681,7 +681,7 @@ def _check_reads(engine, model, table, masks):
         bounds = min(table.dmin[q] for q in belief), max(table.dmax[q] for q in belief)
         assert (lo, hi) == bounds
         assert engine.witnesses(mask, lo, hi) == _witnesses(table, belief)
-        if lo <= hi:  # only dead ends (below) hold lo > hi, which is no interval
+        if lo <= hi:  # only the made-up tables below hold lo > hi, which is no interval
             assert engine.interval(lo, hi) == Interval(*bounds)
     return dense, sparse
 
@@ -689,8 +689,8 @@ def _check_reads(engine, model, table, masks):
 def _table_with_ties(rng, n):
     """Distances with many ties and INF bounds.  Finite bounds reach past
     n, up to 3n + 13, so at every width a field sized from n would be too
-    narrow.  Some states with dmin INF have a finite dmax, as a non-faulty
-    dead end of an unvalidated model does, so dmin <= dmax fails there."""
+    narrow.  Some states with dmin INF have a finite dmax, which no model's
+    own table holds, so that the engine's two fields are read apart."""
     dmin = [rng.choice([0, 1, 2, n + 3, INF]) for _ in range(n)]
     dmax = [
         rng.choice([0, 1, INF]) if lo == INF else lo + rng.choice([0, 1, 2, 2 * n + 10, INF])

@@ -6,6 +6,7 @@ import ast
 import io
 import json
 import os
+import random
 import re
 import select
 import subprocess
@@ -18,6 +19,8 @@ import pytest
 import faultcast
 from faultcast import drifting_plant, fan_system, format_extnat, parse_model, serialize_model
 from faultcast.cli import main
+
+from randmodels import OracleConfig, _draw_model
 
 
 @pytest.fixture
@@ -605,11 +608,12 @@ def test_package_exports_exactly_its_public_names():
 
 def test_cli_import_stays_off_the_oracle():
     # Only --oracle needs the reference code; with only src on the path (no
-    # site-packages, no bytecode), importing the CLI must not load it.
+    # site-packages, no bytecode), importing the CLI must not load it.  The
+    # records are tuples, so start-up loads neither dataclasses nor inspect.
     src = str(Path(faultcast.__file__).parent.parent)
     probe = (
         "import sys; sys.path.insert(0, sys.argv[1]); import faultcast.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith('faultcast')))"
+        "print(sorted(m for m in sys.modules if m.startswith('faultcast') or m in ('dataclasses', 'inspect')))"
     )
     result = subprocess.run(
         [sys.executable, "-I", "-B", "-S", "-c", probe, src],
@@ -619,6 +623,7 @@ def test_cli_import_stays_off_the_oracle():
     loaded = ast.literal_eval(result.stdout)
     assert "faultcast.cli" in loaded
     assert "faultcast.oracle" not in loaded
+    assert "dataclasses" not in loaded and "inspect" not in loaded
 
 
 def _cli_env(unbuffered=""):
@@ -706,4 +711,39 @@ def test_no_validate_lets_broken_models_through(capsys, tmp_path):
     assert code == 2
     code, out, _ = run_cli(capsys, "distances", "--no-validate", str(path))
     assert code == 0
-    assert "B\tinf\t1" in out
+    # B, a non-faulty dead end, avoids the fault: its runs end without it.
+    assert "B\tinf\tinf" in out
+
+
+def test_mutated_models_get_well_formed_answers(capsys, monkeypatch, tmp_path):
+    # Random models with about a quarter of their transitions dropped, so
+    # with dead ends, leaking fault sets and silent cycles.  Validated or
+    # not, every subcommand answers with a documented exit code, and every
+    # stderr line is the CLI's own.  Each query is a valid interval, so no
+    # hull may be refused as one.
+    rng = random.Random(7)
+    path = str(tmp_path / "mutated.des")
+    commands = [
+        ["distances"], ["twin", "--witnesses"], ["predictability"],
+        ["query", "--witness", "-i", "1", "-j", "2"], ["query", "-i", "0", "-j", "inf"],
+        ["compile"], ["predict"],
+    ]
+    flags = [[], ["--no-validate"], ["--close-faults", "--no-validate"]]
+    codes = set()
+    for _ in range(50):
+        model = _draw_model(rng, OracleConfig(max_states=7))
+        lines = serialize_model(model).splitlines()
+        kept = [line for line in lines if not line.startswith("trans") or rng.random() >= 0.25]
+        Path(path).write_text("\n".join(kept) + "\n")
+        names = [e.name for e in model.events if e.observable]
+        stream = "".join(f"{rng.choice(names)}\n" for _ in range(6))
+        calls = [["validate", path], ["validate", "--close-faults", path]]
+        calls += [[*command, *flag, path] for command in commands for flag in flags]
+        for argv in calls:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(stream))
+            code, _, err = run_cli(capsys, *argv)
+            codes.add(code)
+            assert code in (0, 1, 2), argv
+            assert all(line.startswith("faultcast: ") for line in err.splitlines()), (argv, err)
+            assert "exceeds upper bound" not in err, (argv, err)
+    assert codes == {0, 1, 2}

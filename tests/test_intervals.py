@@ -40,6 +40,20 @@ def test_construction_rejects_bad_bounds():
         Interval(0.5, 2)
 
 
+@pytest.mark.parametrize(
+    "lo, hi, message",
+    [
+        (INF, 1, "lower bound exceeds upper bound: (inf, 1)"),
+        (2, 1, "lower bound exceeds upper bound: (2, 1)"),
+        (-1, 2, "bounds must be naturals or inf: (-1, 2)"),
+    ],
+)
+def test_refusals_name_both_bounds(lo, hi, message):
+    with pytest.raises(InvalidIntervalError) as caught:
+        Interval(lo, hi)
+    assert str(caught.value) == message
+
+
 def test_decrement_saturates_at_zero_and_infinity():
     assert decrement(Interval(1, 2)) == Interval(0, 1)
     assert decrement(Interval(0, 0)) == Interval(0, 0)

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from enum import IntEnum
 
 import pytest
 
 from faultcast import (
     INF,
+    Analysis,
+    BeliefAutomaton,
     DesModel,
     Event,
     Interval,
@@ -34,7 +35,7 @@ from faultcast.oracle import (
 )
 from faultcast.twin import witness_observations
 
-from helpers import is_proper_subset
+from helpers import is_proper_subset, rebuilt
 from randmodels import OracleConfig, _draw_model, random_live_model, sample_run
 
 
@@ -213,6 +214,34 @@ def test_hull_witnesses_are_replayed_on_read(plant, monkeypatch):
         assert all(entry.witness is None for entry in bare.frontier.hulls), model
         assert kept.frontier.hulls == bare.frontier.hulls
         assert set(kept.frontier.hulls) == set(bare.frontier.hulls)
+        assert list(map(hash, kept.frontier.hulls)) == list(map(hash, bare.frontier.hulls))
+        assert list(map(repr, kept.frontier.hulls)) == list(map(repr, bare.frontier.hulls))
+    assert repr(entry) == f"HullEntry(interval={entry.interval!r}, pair={entry.pair!r})"
+
+
+def test_records_refuse_field_assignment(plant, plant_analysis):
+    verdict = is_ij_predictable(plant_analysis.frontier, 2, 2)
+    entry = verdict.blocking
+    for record, field, value in [
+        (plant, "initial", 1),
+        (entry.interval, "lo", 0),
+        (entry, "pair", (0, 0)),
+        (verdict, "predictable", True),
+    ]:
+        with pytest.raises(AttributeError):
+            setattr(record, field, value)
+        assert getattr(record, field) != value, field
+
+
+def test_bundles_build_by_keyword(plant):
+    analysis = analyze(plant)
+    again = Analysis(
+        model=analysis.model, table=analysis.table, twin=analysis.twin, frontier=analysis.frontier
+    )
+    assert again == analysis and again.frontier is analysis.frontier
+    automaton = compile_predictor(plant)
+    again = BeliefAutomaton(nodes=automaton.nodes, edges=automaton.edges)
+    assert again.initial == 0 and again == automaton
 
 
 def test_bad_queries_raise(plant_analysis):
@@ -404,7 +433,7 @@ def _random_models(seed, count):
         model = _draw_model(rng, config)
         if k % 4:
             exits = {(q, 0, rng.randrange(len(model.states))) for q in model.faulty}
-            model = replace(model, transitions=tuple(sorted({*model.transitions, *exits})))
+            model = rebuilt(model, transitions=tuple(sorted({*model.transitions, *exits})))
         yield model
 
 
@@ -542,7 +571,7 @@ def _duplicated_event(model, rng):
     returns it with the indices of that event and of its copy."""
     original = rng.choice([e for e, event in enumerate(model.events) if event.observable])
     copy = len(model.events)
-    moved = replace(
+    moved = rebuilt(
         model,
         events=(*model.events, Event("copy", True)),
         transitions=(
@@ -596,7 +625,7 @@ def _with_unreachable_copy(model):
     """The same model with a renamed copy of every state and transition
     appended, which nothing in the original reaches."""
     n = len(model.states)
-    return replace(
+    return rebuilt(
         model,
         states=(*model.states, *(f"{name}_copy" for name in model.states)),
         transitions=(*model.transitions, *((s + n, e, d + n) for s, e, d in model.transitions)),
@@ -650,7 +679,7 @@ def _subdivided(model, rng):
     k = rng.choice(moves)
     q, h, t = model.transitions[k]
     s = len(model.states)
-    return replace(
+    return rebuilt(
         model,
         states=(*model.states, "fresh"),
         transitions=(*model.transitions[:k], (q, h, s), (s, h, t), *model.transitions[k + 1:]),
