@@ -48,6 +48,8 @@ class Interval(namedtuple("Interval", "lo hi")):
     """A closed interval (lo, hi) of extended naturals with lo <= hi."""
 
     __slots__ = ()
+    # _replace builds through _make, which checks the bounds as the constructor does.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, lo: ExtNat, hi: ExtNat) -> Interval:
         if not is_extnat(lo) or not is_extnat(hi):

@@ -54,6 +54,9 @@ class DesModel(namedtuple("DesModel", "states events transitions initial faulty"
     a __dict__ only for the tables it builds on first use.
     """
 
+    # _replace builds through _make, which checks the fields as the constructor does.
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
     def __new__(cls, states, events, transitions, initial: int, faulty) -> DesModel:
         faulty = frozenset(faulty)
         self = super().__new__(cls, tuple(states), tuple(events), tuple(transitions), initial, faulty)

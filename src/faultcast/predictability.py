@@ -43,6 +43,9 @@ class HullEntry(namedtuple("HullEntry", "interval pair")):
         self.twin = twin
         return self
 
+    def __getnewargs__(self) -> tuple:  # copy and pickle rebuild the twin too
+        return (*self, self.twin)
+
     @property
     def witness(self) -> tuple[int, ...] | None:
         """A shortest observation sequence reaching the pair; None without links."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from enum import IntEnum
 
@@ -231,6 +233,26 @@ def test_records_refuse_field_assignment(plant, plant_analysis):
         with pytest.raises(AttributeError):
             setattr(record, field, value)
         assert getattr(record, field) != value, field
+
+
+def test_replace_runs_the_constructor_checks(plant):
+    assert Interval(1, 2)._replace(hi=INF) == Interval(1, INF)
+    with pytest.raises(InvalidIntervalError, match=r"lower bound exceeds upper bound: \(5, 2\)"):
+        Interval(1, 2)._replace(lo=5)
+    assert plant._replace(faulty=()).faulty == frozenset()
+    with pytest.raises(ValueError, match="initial state index out of range: 99"):
+        plant._replace(initial=99)
+
+
+def test_records_survive_copy_and_pickle(plant):
+    analysis = analyze(plant, witnesses=True)
+    entry = analysis.frontier.hulls[0]
+    node = compile_predictor(plant).nodes[1]
+    for clone in (copy.copy, copy.deepcopy, lambda record: pickle.loads(pickle.dumps(record))):
+        for record in (plant, entry, entry.interval, node, analysis.frontier, analysis.twin):
+            assert clone(record) == record, (clone, record)
+        assert clone(entry).witness == entry.witness
+        assert clone(node).members == node.members
 
 
 def test_bundles_build_by_keyword(plant):
