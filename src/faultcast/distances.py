@@ -98,15 +98,12 @@ def _doomed_order(model: DesModel) -> list[int]:
     """
     n = len(model.states)
     faulty = model.faulty
-    observable, silent = model.move_tables
-    escape_routes = [0] * n
+    # A dead end counts one escape route, which no deletion takes away.
+    escape_routes = [int(not (obs or silent)) for obs, silent in zip(*model.move_tables)]
     for src, _, dst in model.transitions:
         if src not in faulty and dst not in faulty:
             escape_routes[src] += 1
-    doomed = [
-        q for q in range(n)
-        if q not in faulty and escape_routes[q] == 0 and (observable[q] or silent[q])
-    ]
+    doomed = [q for q in range(n) if q not in faulty and escape_routes[q] == 0]
     for q in doomed:  # grows as states are deleted
         for src, _, _ in model.incoming[q]:
             if src not in faulty:

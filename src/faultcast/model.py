@@ -169,6 +169,8 @@ class DesModel(namedtuple("DesModel", "states events transitions initial faulty"
     def __hash__(self) -> int:
         return hash(self._signature)
 
+    __ne__ = object.__ne__  # inverts __eq__; tuple's own __ne__ compares fields
+
 
 def _check_names(names: Sequence[str], kind: str) -> None:
     seen: set[str] = set()

@@ -35,21 +35,29 @@ from .twin import Pair, TwinReachability, build_twin, witness_observations
 
 class HullEntry(namedtuple("HullEntry", "interval pair")):
     """One distinct pair hull: the Interval and a pair achieving it.  The
-    twin, an attribute outside the tuple and so outside equality, hashing
-    and repr, replays the witness on read."""
+    twin, kept outside the tuple and so outside equality, hashing and repr,
+    replays the witness on read; _replace keeps it, _make leaves it None."""
+
+    twin = None
 
     def __new__(cls, interval: Interval, pair: Pair, twin: TwinReachability) -> HullEntry:
         self = super().__new__(cls, interval, pair)
-        self.twin = twin
+        object.__setattr__(self, "twin", twin)
         return self
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __getnewargs__(self) -> tuple:  # copy and pickle rebuild the twin too
         return (*self, self.twin)
 
+    def _replace(self, **fields) -> HullEntry:
+        return HullEntry(*super()._replace(**fields), self.twin)
+
     @property
     def witness(self) -> tuple[int, ...] | None:
         """A shortest observation sequence reaching the pair; None without links."""
-        links = self.twin.parents
+        links = self.twin and self.twin.parents
         return None if links is None else tuple(witness_observations(self.twin, self.pair))
 
 

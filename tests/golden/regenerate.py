@@ -53,6 +53,7 @@ import faultcast.belief
 from faultcast import drifting_plant, fan_system, serialize_model, validate
 from faultcast.cli import main
 
+from helpers import COMMA_MODEL, QUOTED_MODEL
 from randmodels import OracleConfig, _draw_model, random_live_model, sample_run
 
 GOLDEN = Path(__file__).parent
@@ -227,18 +228,7 @@ def parse_records() -> dict:
 
 # State names that DOT labels must quote and escape, and ones that hold
 # commas, so that two pairs share a label "a,b,c" but not an id.
-DOT_FILES = {
-    "quoted.des": (
-        'des v1\nobs a b\nhidden h\ninit "B\nfault x"y\\\n'
-        'trans "B a a\\b\ntrans a\\b h "B\ntrans "B b x"y\\\n'
-        'trans x"y\\ a x"y\\\ntrans a\\b a x"y\\\n'
-    ),
-    "commas.des": (
-        "des v1\nobs x\ninit i\n"
-        "trans i x a,b\ntrans i x c\ntrans i x a\ntrans i x b,c\n"
-        "trans a,b x a,b\ntrans c x c\ntrans a x a\ntrans b,c x b,c\n"
-    ),
-}
+DOT_FILES = {"quoted.des": QUOTED_MODEL, "commas.des": COMMA_MODEL}
 
 
 def analysis_records() -> dict:

@@ -1,6 +1,6 @@
 """Interval containment and decrement, the two fuse models, small
-readers of models and state sets, and a model rebuilt with some fields
-replaced, for tests.
+readers of models and state sets, and two model texts whose state names
+hold quotes, backslashes and commas, for tests.
 
 A plain helper module of the test suite, imported as `helpers`; the
 package never imports it.  The interval functions state how promises
@@ -50,10 +50,18 @@ def mask_of(states) -> int:
     return sum(1 << q for q in states)
 
 
-def rebuilt(model: DesModel, **fields) -> DesModel:
-    """The model with the given fields replaced, built again through the
-    DesModel constructor, so that its checks run on the new fields."""
-    return DesModel(**{**model._asdict(), **fields})
+#: Model texts for the DOT exports: state names that need quoting and
+#: escaping, and names whose commas make pair labels collide.
+QUOTED_MODEL = (
+    'des v1\nobs a b\nhidden h\ninit "B\nfault x"y\\\n'
+    'trans "B a a\\b\ntrans a\\b h "B\ntrans "B b x"y\\\n'
+    'trans x"y\\ a x"y\\\ntrans a\\b a x"y\\\n'
+)
+COMMA_MODEL = (
+    "des v1\nobs x\ninit i\n"
+    "trans i x a,b\ntrans i x c\ntrans i x a\ntrans i x b,c\n"
+    "trans a,b x a,b\ntrans c x c\ntrans a x a\ntrans b,c x b,c\n"
+)
 
 
 def is_deterministic(model: DesModel) -> bool:

@@ -20,6 +20,7 @@ import faultcast
 from faultcast import drifting_plant, fan_system, format_extnat, parse_model, serialize_model
 from faultcast.cli import main
 
+from helpers import COMMA_MODEL, QUOTED_MODEL
 from randmodels import OracleConfig, _draw_model
 
 
@@ -231,11 +232,7 @@ def _twin_dot_graph(dot):
 def test_twin_dot_ids_stay_apart_when_names_hold_commas(capsys, tmp_path):
     # The pairs (a,b, c) and (a, b,c) share the label "a,b,c", not the id.
     path = tmp_path / "commas.des"
-    path.write_text(
-        "des v1\nobs x\ninit i\n"
-        "trans i x a,b\ntrans i x c\ntrans i x a\ntrans i x b,c\n"
-        "trans a,b x a,b\ntrans c x c\ntrans a x a\ntrans b,c x b,c\n"
-    )
+    path.write_text(COMMA_MODEL)
     dot_path = tmp_path / "twin.dot"
     code, out, _ = run_cli(capsys, "twin", "--dot", str(dot_path), str(path))
     assert code == 0
@@ -513,11 +510,7 @@ def _dot_labels(dot):
 def test_dot_exports_quote_every_label(capsys, tmp_path):
     # The grammar allows any non-space token without "#" as a state name.
     path = tmp_path / "quoted.des"
-    path.write_text(
-        'des v1\nobs a b\nhidden h\ninit "B\nfault x"y\\\n'
-        'trans "B a a\\b\ntrans a\\b h "B\ntrans "B b x"y\\\n'
-        'trans x"y\\ a x"y\\\ntrans a\\b a x"y\\\n'
-    )
+    path.write_text(QUOTED_MODEL)
     model = parse_model(path.read_text())
     dot_path = tmp_path / "out.dot"
 

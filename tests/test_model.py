@@ -123,7 +123,7 @@ def test_semantic_equality_ignores_index_order():
         initial=1,
         faulty=frozenset({0}),
     )
-    assert m1 == m2
+    assert m1 == m2 and not m1 != m2
     assert hash(m1) == hash(m2)
     m3 = make_model(
         [("a", True), ("t", True)],  # t observable now

@@ -37,7 +37,7 @@ from faultcast.oracle import (
 )
 from faultcast.twin import witness_observations
 
-from helpers import is_proper_subset, rebuilt
+from helpers import is_proper_subset
 from randmodels import OracleConfig, _draw_model, random_live_model, sample_run
 
 
@@ -228,6 +228,7 @@ def test_records_refuse_field_assignment(plant, plant_analysis):
         (plant, "initial", 1),
         (entry.interval, "lo", 0),
         (entry, "pair", (0, 0)),
+        (entry, "twin", None),
         (verdict, "predictable", True),
     ]:
         with pytest.raises(AttributeError):
@@ -247,11 +248,14 @@ def test_replace_runs_the_constructor_checks(plant):
 def test_records_survive_copy_and_pickle(plant):
     analysis = analyze(plant, witnesses=True)
     entry = analysis.frontier.hulls[0]
+    replaced, made = entry._replace(interval=entry.interval), type(entry)._make(entry)
+    assert replaced.witness == entry.witness and made.witness is None
     node = compile_predictor(plant).nodes[1]
     for clone in (copy.copy, copy.deepcopy, lambda record: pickle.loads(pickle.dumps(record))):
-        for record in (plant, entry, entry.interval, node, analysis.frontier, analysis.twin):
+        for record in (plant, entry, replaced, made, entry.interval, node, analysis.frontier, analysis.twin):
             assert clone(record) == record, (clone, record)
-        assert clone(entry).witness == entry.witness
+        assert clone(entry).witness == clone(replaced).witness == entry.witness
+        assert clone(made).witness is None
         assert clone(node).members == node.members
 
 
@@ -455,7 +459,7 @@ def _random_models(seed, count):
         model = _draw_model(rng, config)
         if k % 4:
             exits = {(q, 0, rng.randrange(len(model.states))) for q in model.faulty}
-            model = rebuilt(model, transitions=tuple(sorted({*model.transitions, *exits})))
+            model = model._replace(transitions=tuple(sorted({*model.transitions, *exits})))
         yield model
 
 
@@ -593,8 +597,7 @@ def _duplicated_event(model, rng):
     returns it with the indices of that event and of its copy."""
     original = rng.choice([e for e, event in enumerate(model.events) if event.observable])
     copy = len(model.events)
-    moved = rebuilt(
-        model,
+    moved = model._replace(
         events=(*model.events, Event("copy", True)),
         transitions=(
             *model.transitions,
@@ -647,8 +650,7 @@ def _with_unreachable_copy(model):
     """The same model with a renamed copy of every state and transition
     appended, which nothing in the original reaches."""
     n = len(model.states)
-    return rebuilt(
-        model,
+    return model._replace(
         states=(*model.states, *(f"{name}_copy" for name in model.states)),
         transitions=(*model.transitions, *((s + n, e, d + n) for s, e, d in model.transitions)),
         faulty=model.faulty | {q + n for q in model.faulty},
@@ -701,8 +703,7 @@ def _subdivided(model, rng):
     k = rng.choice(moves)
     q, h, t = model.transitions[k]
     s = len(model.states)
-    return rebuilt(
-        model,
+    return model._replace(
         states=(*model.states, "fresh"),
         transitions=(*model.transitions[:k], (q, h, s), (s, h, t), *model.transitions[k + 1:]),
     )
