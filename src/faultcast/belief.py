@@ -14,10 +14,10 @@ empty union means no run explains the event.  One engine per model, the
 observer (subset) construction built lazily, makes each belief a node
 when found and reads it once for its hull bounds and the row from which
 every step and successor is computed.  A dense mask is read as the OR of
-ceil(n/8) memoized byte entries (the method of four Russians), which
-holds both its rows and its hull; a sparse one by a pass over its
-members.  Witnesses are found only where they are read.  A session holds
-only its node; compile_predictor numbers its own nodes.
+ceil(n/8) memoized byte entries (the method of four Russians): its rows
+and one field whose lowest and highest set bits are its hull.  A sparse
+mask is read member by member.  Witnesses are found only where read.  A
+session holds only its node; compile_predictor numbers its own nodes.
 """
 
 from __future__ import annotations
@@ -99,14 +99,14 @@ class _BeliefEngine:
     session holding an old node then steps on from that node's row.
 
     A dense mask is read a byte at a time.  Each state packs its rows, one
-    per observable event n bits apart, and above them two one-hot fields of
-    1 + the table's largest finite distance bits, whose top bit stands for
-    INF: bit dmin[q] of the first, bit dmax[q] of the second.  An entry ORs
-    its byte's packed ints, so the OR of a mask's entries is its row, and
-    the lowest set bit of its first field and the highest of its second are
-    its hull.  Each position's 256-slot table, packed ints and move lists
-    depend only on the model and the table: they outlive a flush, and
-    compile_predictor shares them.
+    per observable event n bits apart, and above them a field of 1 + the
+    table's largest finite distance bits, top bit INF, with bits dmin[q]
+    and dmax[q] set.  An entry ORs its byte's packed ints, so the OR of a
+    mask's entries is its row, and its field's lowest and highest set bits
+    are its hull, given dmin[q] <= dmax[q] on every state: a model's own
+    table, the only kind the engine is given, holds that.  Each position's
+    256-slot table, packed ints and move lists depend only on the model
+    and the table: they outlive a flush, and compile_predictor shares them.
     """
 
     def __init__(self, model: DesModel, table: DistanceTable):
@@ -117,9 +117,9 @@ class _BeliefEngine:
         self.shifts = {e: k * n for k, e in enumerate(observable)}
         self.full = (1 << n) - 1
         self._inf = 1 + max((d for d in table.dmin + table.dmax if d != INF), default=-1)
-        self._lo_at = len(observable) * n  # the dmin field's first bit; dmax's follows it
+        self._field_at = len(observable) * n  # the bounds field's first bit
         self._tables = [_UNFILLED] * ((n + 7) // 8)  # per byte position, by byte value
-        self._packed: list[int | None] = [None] * n  # per state, its rows and fields
+        self._packed: list[int | None] = [None] * n  # per state, its rows and field
         self._moves: list[list | None] = [None] * n  # per state, its (event, row) moves
         self.index: dict[int, _Node] = {}
         self._shared: dict[tuple, Interval] = {}  # one Interval per (lo, hi)
@@ -147,10 +147,10 @@ class _BeliefEngine:
         packed, inf, dmin, dmax = self._packed, self._inf, self.table.dmin, self.table.dmax
         members = [position * 8 + i for i in _BYTE_BITS[byte]]
         for q in members:
-            if packed[q] is None:  # min(d, inf) is d's bit in its field
-                fields = 1 << min(dmin[q], inf) | 1 << inf + 1 + min(dmax[q], inf)
+            if packed[q] is None:  # min(d, inf) is d's bit in the field
+                field = 1 << min(dmin[q], inf) | 1 << min(dmax[q], inf)
                 rows = sum(self.rows[e][q] << shift for e, shift in self.shifts.items())
-                packed[q] = rows | fields << self._lo_at
+                packed[q] = rows | field << self._field_at
         if table is _UNFILLED:
             table = self._tables[position] = list(_UNFILLED)
         table[byte] = entry = reduce(or_, map(packed.__getitem__, members))
@@ -166,8 +166,8 @@ class _BeliefEngine:
                 row = reduce(or_, map(getitem, self._tables, data), 0)
             except TypeError:  # a slot not yet filled holds None
                 row = reduce(or_, map(self._entry, range(len(data)), data))
-            fields, inf = row >> self._lo_at, self._inf
-            lo, hi = (fields & -fields).bit_length() - 1, (fields >> inf + 1).bit_length() - 1
+            field, inf = row >> self._field_at, self._inf
+            lo, hi = (field & -field).bit_length() - 1, field.bit_length() - 1
             return row, INF if lo == inf else lo, INF if hi == inf else hi
         members = _sparse_members(mask)
         dmin, dmax = self.table.dmin.__getitem__, self.table.dmax.__getitem__

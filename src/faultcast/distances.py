@@ -9,23 +9,21 @@ INF).  Together they bound, from any state, how soon and how late the
 fault can arrive, measured in observations.  compute_distances builds a
 model's table once and keeps it on the model for every later caller.
 
-The three computations:
+The two computations:
 
 * dmin: shortest path to the fault set where observable edges cost 1 and
-  unobservable ones cost 0, run over reversed edges with a two-bucket
-  queue (current distance and current distance + 1), linear in the
-  transition count.
-* avoid set: states able to stay outside the fault set forever, or to
-  end a run outside it at a non-faulty dead end (possible only in an
-  unvalidated model), obtained by repeatedly deleting non-faulty states
-  that have a move and whose every non-faulty successor has already been
-  deleted; what survives can always take one more step outside the fault
-  set, or has none to take.  So dmin = INF implies dmax = INF.
-* dmax: the deleted states, in deletion order, each after all of its
-  non-faulty successors; none of those is in the avoid set, or it would
-  have kept the state from deletion.  One pass along that order computes
-  the longest weighted stay, with a floor of one because the empty stay
-  already contains one state.
+  unobservable ones cost 0, run over reversed edges with one deque (a
+  silent relaxation to its front, an observable one to its back), linear
+  in the transition count.
+* avoid set and dmax, in one deletion pass: non-faulty states that have
+  a move and whose every non-faulty successor has already been deleted
+  are deleted in turn.  What survives can always take one more step
+  outside the fault set, or has none to take (a dead end, possible only
+  in an unvalidated model): that is the avoid set, with dmax INF.  So
+  dmin = INF implies dmax = INF.  A state is deleted after all of its
+  non-faulty successors, so its dmax, the longest weighted stay with a
+  floor of one because the empty stay already contains one state, folds
+  from theirs as it is deleted.
 """
 
 from __future__ import annotations
@@ -52,92 +50,77 @@ def compute_distances(model: DesModel) -> DistanceTable:
 
 def build_distances(model: DesModel) -> DistanceTable:
     """Bundle dmin, the avoid set, and dmax for a model, from one deletion pass."""
-    doomed = _doomed_order(model)
-    avoid = frozenset(range(len(model.states))).difference(model.faulty, doomed)
-    return DistanceTable(
-        dmin=compute_dmin(model),
-        dmax=_fold_dmax(model, avoid, doomed),
-        avoid=avoid,
-    )
+    dmax = _deletion_pass(model)
+    avoid = frozenset(q for q, d in enumerate(dmax) if d == INF)
+    return DistanceTable(dmin=compute_dmin(model), dmax=tuple(dmax), avoid=avoid)
 
 
 def compute_dmin(model: DesModel) -> tuple[ExtNat, ...]:
     """Least number of observations before the fault set, per state."""
-    n = len(model.states)
-    dist: list[ExtNat] = [INF] * n
-    settled = [False] * n
-    current: deque[int] = deque()
-    following: deque[int] = deque()
+    dist: list[ExtNat] = [INF] * len(model.states)
     for q in model.faulty:
         dist[q] = 0
-        current.append(q)
-    d = 0
-    while current or following:
-        if not current:
-            current, following = following, current
-            d += 1
-            continue
-        q = current.popleft()
-        if settled[q]:
-            continue
-        settled[q] = True
+    # The deque holds distances d, then d + 1, in order, so a state leaves it
+    # first at its final distance; a later, stale copy improves nothing.
+    queue = deque(model.faulty)
+    while queue:
+        q = queue.popleft()
+        d = dist[q]
         for src, ev, _ in model.incoming[q]:
-            nd = d + (1 if model.events[ev].observable else 0)
-            if nd < dist[src]:
-                dist[src] = nd
-                (current if nd == d else following).append(src)
+            if not model.events[ev].observable:
+                if d < dist[src]:
+                    dist[src] = d
+                    queue.appendleft(src)
+            elif d + 1 < dist[src]:
+                dist[src] = d + 1
+                queue.append(src)
     return tuple(dist)
 
 
-def _doomed_order(model: DesModel) -> list[int]:
-    """Non-faulty states that cannot avoid the fault set, in deletion order.
+def _deletion_pass(model: DesModel) -> list[ExtNat]:
+    """dmax per state: 0 on the fault set, INF on the avoid set.
 
     A state is deleted once all of its non-faulty successors have been, so
-    each comes after every one of them.  A dead end is never deleted: its
-    runs end without the fault.
+    their dmax is known when its own folds.  A dead end is never deleted:
+    its runs end without the fault.
     """
     n = len(model.states)
     faulty = model.faulty
+    observable, silent = model.move_tables
     # A dead end counts one escape route, which no deletion takes away.
-    escape_routes = [int(not (obs or silent)) for obs, silent in zip(*model.move_tables)]
+    escape_routes = [int(not (obs or moves)) for obs, moves in zip(observable, silent)]
     for src, _, dst in model.transitions:
         if src not in faulty and dst not in faulty:
             escape_routes[src] += 1
+    dmax: list[ExtNat] = [0 if q in faulty else INF for q in range(n)]
     doomed = [q for q in range(n) if q not in faulty and escape_routes[q] == 0]
     for q in doomed:  # grows as states are deleted
+        # A faulty target's 0 never beats the floor of one.
+        best = 1
+        for targets in observable[q].values():
+            for t in targets:
+                if dmax[t] >= best:
+                    best = dmax[t] + 1
+        for _, t in silent[q]:
+            if dmax[t] > best:
+                best = dmax[t]
+        dmax[q] = best
         for src, _, _ in model.incoming[q]:
             if src not in faulty:
                 escape_routes[src] -= 1
                 if escape_routes[src] == 0:
                     doomed.append(src)
-    return doomed
+    return dmax
 
 
 def compute_avoid_set(model: DesModel) -> frozenset[int]:
     """Non-faulty states from which the fault set can be dodged forever."""
-    return frozenset(range(len(model.states))).difference(model.faulty, _doomed_order(model))
+    return frozenset(q for q, d in enumerate(_deletion_pass(model)) if d == INF)
 
 
 def compute_dmax(model: DesModel, avoid: frozenset[int]) -> tuple[ExtNat, ...]:
     """Largest stay outside the fault set, per state, as |obs| + 1."""
-    return _fold_dmax(model, avoid, _doomed_order(model))
-
-
-def _fold_dmax(model: DesModel, avoid: frozenset[int], doomed: list[int]) -> tuple[ExtNat, ...]:
-    faulty = model.faulty
-    dmax: list[ExtNat] = [0] * len(model.states)
+    dmax = _deletion_pass(model)
     for q in avoid:
         dmax[q] = INF
-    observable, silent = model.move_tables
-    for q in doomed:
-        best = 1
-        # Every non-faulty target is doomed too and came earlier in the order.
-        for targets in observable[q].values():
-            for t in targets:
-                if t not in faulty and dmax[t] >= best:
-                    best = dmax[t] + 1
-        for _, t in silent[q]:
-            if t not in faulty and dmax[t] > best:
-                best = dmax[t]
-        dmax[q] = best
     return tuple(dmax)

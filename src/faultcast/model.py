@@ -170,6 +170,7 @@ class DesModel(namedtuple("DesModel", "states events transitions initial faulty"
         return hash(self._signature)
 
     __ne__ = object.__ne__  # inverts __eq__; tuple's own __ne__ compares fields
+    __lt__ = __le__ = __gt__ = __ge__ = object.__lt__  # no order; tuple's compares fields
 
 
 def _check_names(names: Sequence[str], kind: str) -> None:
@@ -276,9 +277,9 @@ def _trans_text(model: DesModel, t: Transition) -> str:
 
 def _unobservable_cycle(model: DesModel) -> list[int] | None:
     # Iterative DFS over unobservable edges; returns one offending cycle.
+    # The stack is the path from its root, so a move back onto it closes one.
     silent = model.move_tables[1]
     color = [0] * len(model.states)  # 0 new, 1 on stack, 2 done
-    parent: dict[int, int] = {}
     for root in range(len(model.states)):
         if color[root]:
             continue
@@ -292,15 +293,10 @@ def _unobservable_cycle(model: DesModel) -> list[int] | None:
                 nxt = moves[i][1]
                 if color[nxt] == 0:
                     color[nxt] = 1
-                    parent[nxt] = q
                     stack.append((nxt, 0))
                 elif color[nxt] == 1:
-                    cycle = [q]
-                    while cycle[-1] != nxt:
-                        cycle.append(parent[cycle[-1]])
-                    cycle.reverse()
-                    cycle.append(nxt)
-                    return cycle
+                    path = [p for p, _ in stack]
+                    return path[path.index(nxt):] + [nxt]
             else:
                 color[q] = 2
                 stack.pop()

@@ -254,6 +254,8 @@ def oracle_product_is_ij_predictable(model: DesModel, i: int, j: ExtNat) -> bool
     event moves both.  A belief may alarm when its hull lies inside
     [i, j]; (i, j) holds when no path from the initial pair reaches a
     faulty state through beliefs that may not alarm.  No pair hull is used.
+    Raises CapExceededError as soon as a pair past DEFAULT_BELIEF_CAP, read
+    at each call, shows up.
     """
     dmin, dmax = oracle_dmin(model), oracle_dmax(model)
     by_source = _by_state(model, 0)
@@ -267,6 +269,8 @@ def oracle_product_is_ij_predictable(model: DesModel, i: int, j: ExtNat) -> bool
         for _, ev, dst in by_source[q]:
             step = _observe(model, by_source, belief, ev) if model.events[ev].observable else belief
             if (dst, step) not in seen:
+                if len(order) >= DEFAULT_BELIEF_CAP:
+                    raise CapExceededError(DEFAULT_BELIEF_CAP, len(order))
                 seen.add((dst, step))
                 order.append((dst, step))
     return True

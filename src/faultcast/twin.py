@@ -6,15 +6,15 @@ advance both components on the same event, while an unobservable event
 advances one component and leaves the other in place.  The relation is
 reflexive on reachable states and symmetric but not transitive.
 
-The relation is held as pair codes: the unordered pair q1 <= q2 is the int
-q1 * n + q2, so code order is canonical pair order, and (min, max) tuples
-are built only when first read.  The search runs breadth-first by
-observation count.  Layer k, the pairs first reached with k observations,
-is first closed under silent moves by a stack worklist; then the
-observable moves of its pairs, in visiting order, seed layer k + 1.  A
-pair is recorded when first seen, with its parent link if witnesses are
-asked for, so the links spell out a shortest observation sequence
-witnessing each pair.  The visiting order picks among equally short ones.
+The relation is its pair codes: the unordered pair q1 <= q2 is the int
+q1 * n + q2, so membership is a code lookup, code order is canonical
+pair order, and (min, max) tuples are built only when first read.  The
+search runs breadth-first by observation count: layer k, the pairs first
+reached with k observations, is closed under silent moves by a stack
+worklist, and its observable moves, in visiting order, seed layer k + 1.
+A pair is recorded when first seen, with its parent link if witnesses
+are asked for, so the links spell out a shortest observation sequence
+witnessing each pair; the visiting order picks among equally short ones.
 
 A deterministic, fully observable model reaches only diagonal pairs, so
 there the search is linear in the reachable states and their moves.
@@ -60,11 +60,6 @@ class TwinReachability(namedtuple("TwinReachability", "codes size parents")):
     def relation_size(self) -> int:
         """Size of the relation as ordered pairs; diagonal codes are multiples of size + 1."""
         return sum(1 if code % (self.size + 1) == 0 else 2 for code in self.codes)
-
-    def related(self, q1: int, q2: int) -> bool:
-        """True when some observation sequence allows both states."""
-        q1, q2 = _canon(q1, q2)
-        return q2 < self.size and q1 * self.size + q2 in self.codes
 
 
 def _canon(q1: int, q2: int) -> Pair:
@@ -150,10 +145,11 @@ def witness_observations(twin: TwinReachability, pair: Pair) -> list[int]:
     pair = _canon(*pair)
     if twin.parents is None:
         raise NoWitnessError("twin was built without witness links")
-    if not twin.related(*pair):
+    code = pair[0] * twin.size + pair[1]
+    if pair[1] >= twin.size or code not in twin.codes:
         raise ValueError(f"pair {pair} is not in the relation")
     events: list[int] = []
-    link = twin.parents[pair[0] * twin.size + pair[1]]
+    link = twin.parents[code]
     while link is not None:
         parent, event = link
         if event is not None:

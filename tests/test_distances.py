@@ -221,8 +221,13 @@ def test_distances_agree_with_oracle_on_unvalidated_models():
         model = _unvalidated_model(rng)
         avoid = compute_avoid_set(model)
         assert avoid == oracle_avoid_set(model)
-        assert list(compute_dmin(model)) == oracle_dmin(model)
-        assert list(compute_dmax(model, avoid)) == oracle_dmax(model)
+        dmin, dmax = compute_dmin(model), compute_dmax(model, avoid)
+        assert list(dmin) == oracle_dmin(model)
+        assert list(dmax) == oracle_dmax(model)
+        # The belief engine's one bounds field rests on dmin <= dmax.
+        table = compute_distances(model)
+        assert all(lo <= hi for lo, hi in zip(dmin, dmax))
+        assert all(lo <= hi for lo, hi in zip(table.dmin, table.dmax))
         kinds.update(_invalid_kinds(model))
     assert set(kinds) == {"no transitions", "dead end", "fault escape", "silent cycle"}
 

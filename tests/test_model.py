@@ -125,6 +125,11 @@ def test_semantic_equality_ignores_index_order():
     )
     assert m1 == m2 and not m1 != m2
     assert hash(m1) == hash(m2)
+    # Equal models have no order, though their field tuples differ.
+    with pytest.raises(TypeError):
+        m1 < m2
+    with pytest.raises(TypeError):
+        sorted([m1, m2])
     m3 = make_model(
         [("a", True), ("t", True)],  # t observable now
         [("X", "a", "Y"), ("Y", "t", "X")],

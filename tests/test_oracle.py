@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from faultcast import INF, CapExceededError, drifting_plant, parse_model, validate
+from faultcast import INF, CapExceededError, drifting_plant, oracle, parse_model, validate
 from faultcast.oracle import (
     oracle_avoid_set,
     oracle_beliefs,
@@ -81,6 +81,19 @@ def test_oracle_beliefs_refuse_past_the_cap(plant):
         with pytest.raises(CapExceededError) as refused:
             oracle_beliefs(plant, cap=cap)
         assert (refused.value.cap, refused.value.explored) == (cap, cap)
+
+
+def test_product_oracle_refuses_past_the_cap(plant, monkeypatch):
+    # Deciding (1, 2) on the plant explores 9 (state, belief) pairs: every
+    # cap below that, read from the module constant at the call, refuses
+    # once the (cap+1)-th shows up, having explored exactly cap of them.
+    for cap in range(1, 9):
+        monkeypatch.setattr(oracle, "DEFAULT_BELIEF_CAP", cap)
+        with pytest.raises(CapExceededError) as refused:
+            oracle_product_is_ij_predictable(plant, 1, 2)
+        assert (refused.value.cap, refused.value.explored) == (cap, cap)
+    monkeypatch.setattr(oracle, "DEFAULT_BELIEF_CAP", 9)
+    assert oracle_product_is_ij_predictable(plant, 1, 2)
 
 
 def test_oracle_query_refuses_a_negative_lead_time(plant):

@@ -184,10 +184,15 @@ def test_hull_choice_matches_the_oracle_pairs_on_random_models():
             assert len(analysis.frontier.hulls) == len(least)
             assert twin.pair_count == len(pairs)
             assert twin.relation_size == sum(1 if a == b else 2 for a, b in pairs)
-            for a in states:
-                for b in states:
-                    assert twin.related(a, b) == ((min(a, b), max(a, b)) in pairs)
             assert twin.pairs == pairs
+        # The last twin has its links: a witness is refused exactly off the relation.
+        for a in states:
+            for b in states:
+                if (min(a, b), max(a, b)) in pairs:
+                    witness_observations(twin, (a, b))
+                else:
+                    with pytest.raises(ValueError, match="is not in the relation"):
+                        witness_observations(twin, (a, b))
 
 
 def test_hull_witnesses_are_replayed_on_read(plant, monkeypatch):
