@@ -14,10 +14,12 @@ empty union means no run explains the event.  One engine per model, the
 observer (subset) construction built lazily, makes each belief a node
 when found and reads it once for its hull bounds and the row from which
 every step and successor is computed.  A dense mask is read as the OR of
-ceil(n/8) memoized byte entries (the method of four Russians): its rows
-and one field whose lowest and highest set bits are its hull.  A sparse
-mask is read member by member.  Witnesses are found only where read.  A
-session holds only its node; compile_predictor numbers its own nodes.
+ceil(n/8) byte-table entries (the method of four Russians): its rows and
+one field whose lowest and highest set bits are its hull.  A position's
+whole table is built the first time a read meets a non-zero byte there.
+A sparse mask is read member by member.  Witnesses are found only where
+read.  A session holds only its node; compile_predictor numbers its own
+nodes.
 """
 
 from __future__ import annotations
@@ -59,10 +61,8 @@ class BeliefState(namedtuple("BeliefState", "mask interval witnesses")):
 
 
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
-# A byte position's table until its first fill: slot 0, no members, holds 0.
+# A byte position's table until it is built: slot 0, no members, holds 0.
 _UNFILLED = (0,) + (None,) * 255
-# The set bits of each byte value, ascending.
-_BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
 
 
 def _members(mask: int) -> list[int]:
@@ -101,12 +101,15 @@ class _BeliefEngine:
     A dense mask is read a byte at a time.  Each state packs its rows, one
     per observable event n bits apart, and above them a field of 1 + the
     table's largest finite distance bits, top bit INF, with bits dmin[q]
-    and dmax[q] set.  An entry ORs its byte's packed ints, so the OR of a
-    mask's entries is its row, and its field's lowest and highest set bits
-    are its hull, given dmin[q] <= dmax[q] on every state: a model's own
-    table, the only kind the engine is given, holds that.  Each position's
-    256-slot table, packed ints and move lists depend only on the model
-    and the table: they outlive a flush, and compile_predictor shares them.
+    and dmax[q] set.  Slot b of a position's table ORs the packed ints of
+    b's states, so the OR of a mask's entries is its row, and its field's
+    lowest and highest set bits are its hull, given dmin[q] <= dmax[q] on
+    every state: a model's own table, the only kind the engine is given,
+    holds that.  A position's table is built whole, all 2^k slots of its k
+    states, the first time a dense read meets a non-zero byte there; until
+    then it is _UNFILLED, whose slot 0 reads 0.  The tables and move lists
+    depend only on the model and the table: they outlive a flush, and
+    compile_predictor shares them.
     """
 
     def __init__(self, model: DesModel, table: DistanceTable):
@@ -119,7 +122,6 @@ class _BeliefEngine:
         self._inf = 1 + max((d for d in table.dmin + table.dmax if d != INF), default=-1)
         self._field_at = len(observable) * n  # the bounds field's first bit
         self._tables = [_UNFILLED] * ((n + 7) // 8)  # per byte position, by byte value
-        self._packed: list[int | None] = [None] * n  # per state, its rows and field
         self._moves: list[list | None] = [None] * n  # per state, its (event, row) moves
         self.index: dict[int, _Node] = {}
         self._shared: dict[tuple, Interval] = {}  # one Interval per (lo, hi)
@@ -139,22 +141,17 @@ class _BeliefEngine:
         """The hull interval (lo, hi), one shared object per pair of bounds."""
         return self._shared.get((lo, hi)) or self._shared.setdefault((lo, hi), Interval(lo, hi))
 
-    def _entry(self, position: int, byte: int) -> int:
-        table = self._tables[position]
-        entry = table[byte]
-        if entry is not None:
-            return entry
-        packed, inf, dmin, dmax = self._packed, self._inf, self.table.dmin, self.table.dmax
-        members = [position * 8 + i for i in _BYTE_BITS[byte]]
-        for q in members:
-            if packed[q] is None:  # min(d, inf) is d's bit in the field
-                field = 1 << min(dmin[q], inf) | 1 << min(dmax[q], inf)
-                rows = sum(self.rows[e][q] << shift for e, shift in self.shifts.items())
-                packed[q] = rows | field << self._field_at
-        if table is _UNFILLED:
-            table = self._tables[position] = list(_UNFILLED)
-        table[byte] = entry = reduce(or_, map(packed.__getitem__, members))
-        return entry
+    def _fill(self, position: int) -> None:
+        """Build a byte position's whole table by doubling: slot b is slot
+        b without its top bit, ORed with that bit's state's packed int."""
+        inf, dmin, dmax = self._inf, self.table.dmin, self.table.dmax
+        table = [0]
+        for q in range(position * 8, min(position * 8 + 8, len(dmin))):
+            field = 1 << min(dmin[q], inf) | 1 << min(dmax[q], inf)  # min(d, inf): d's bit
+            rows = sum(self.rows[e][q] << shift for e, shift in self.shifts.items())
+            packed = rows | field << self._field_at
+            table += [entry | packed for entry in table]
+        self._tables[position] = table
 
     def read(self, mask: int) -> tuple[int | list[int], ExtNat, ExtNat]:
         """The belief's row and hull bounds.  A dense row ORs its bytes'
@@ -164,8 +161,11 @@ class _BeliefEngine:
             data = mask.to_bytes(len(self._tables), "little")
             try:
                 row = reduce(or_, map(getitem, self._tables, data), 0)
-            except TypeError:  # a slot not yet filled holds None
-                row = reduce(or_, map(self._entry, range(len(data)), data))
+            except TypeError:  # an untouched position's non-zero byte holds None
+                for position, byte in enumerate(data):
+                    if byte and self._tables[position] is _UNFILLED:
+                        self._fill(position)
+                row = reduce(or_, map(getitem, self._tables, data), 0)
             field, inf = row >> self._field_at, self._inf
             lo, hi = (field & -field).bit_length() - 1, field.bit_length() - 1
             return row, INF if lo == inf else lo, INF if hi == inf else hi

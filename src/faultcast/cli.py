@@ -11,7 +11,6 @@ not an error: the command stops writing and exits 0.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Sequence
@@ -184,6 +183,12 @@ def _ext_json(value: ExtNat) -> object:
     return "inf" if value == INF else value
 
 
+def _json(payload: object) -> str:
+    import json  # only JSON output loads json and its submodules
+
+    return json.dumps(payload, indent=2)
+
+
 # -- commands ---------------------------------------------------------------
 
 
@@ -217,7 +222,7 @@ def _cmd_distances(args: argparse.Namespace) -> int:
         }
         if args.oracle:
             payload["match"] = match
-        print(json.dumps(payload, indent=2))
+        print(_json(payload))
         return 0 if match else 2
     for key, table_rows in rows.items():
         if key == "oracle":
@@ -263,7 +268,7 @@ def _cmd_twin(args: argparse.Namespace) -> int:
                 for a, b in pairs
             ],
         }
-        print(json.dumps(payload, indent=2))
+        print(_json(payload))
         return 0
     print(f"# pairs\t{twin.pair_count}")
     print(f"# relation\t{twin.relation_size}")
@@ -286,7 +291,7 @@ def _cmd_predictability(args: argparse.Namespace) -> int:
                 {"i": i, "p": _ext_json(p)} for i, p in enumerate(frontier.p)
             ],
         }
-        print(json.dumps(payload, indent=2))
+        print(_json(payload))
         return 0
     print(f"dmin_init {format_extnat(frontier.dmin_init)}")
     print(f"vacuous {str(frontier.vacuous).lower()}")
@@ -321,7 +326,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         if oracle_verdict is not None:
             payload["oracle"] = oracle_verdict
             payload["match"] = oracle_verdict == verdict.predictable
-        print(json.dumps(payload, indent=2))
+        print(_json(payload))
     else:
         print("predictable" if verdict.predictable else "not predictable")
         if not verdict.predictable and args.witness:
@@ -433,7 +438,7 @@ def _automaton_json(model: DesModel, automaton: BeliefAutomaton) -> str:
             for (src, event), dst in sorted(automaton.edges.items())
         ],
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return _json(payload) + "\n"
 
 
 if __name__ == "__main__":

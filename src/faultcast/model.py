@@ -162,15 +162,23 @@ class DesModel(namedtuple("DesModel", "states events transitions initial faulty"
         )
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DesModel):
-            return NotImplemented
-        return self._signature == other._signature
+        if isinstance(other, DesModel):
+            return self._signature == other._signature
+        # False for any other tuple: NotImplemented would let tuple's reflected
+        # __eq__ compare the fields, which hash differently.
+        return False if isinstance(other, tuple) else NotImplemented
 
     def __hash__(self) -> int:
         return hash(self._signature)
 
     __ne__ = object.__ne__  # inverts __eq__; tuple's own __ne__ compares fields
-    __lt__ = __le__ = __gt__ = __ge__ = object.__lt__  # no order; tuple's compares fields
+
+    def __lt__(self, other: object) -> bool:
+        # Raises for any operand: returning NotImplemented would let a plain
+        # tuple's reflected comparison order the fields.
+        raise TypeError("models have no order")
+
+    __le__ = __gt__ = __ge__ = __lt__
 
 
 def _check_names(names: Sequence[str], kind: str) -> None:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+from functools import reduce
+from operator import or_
 
 import pytest
 
@@ -658,6 +660,86 @@ def test_sparse_reads_fill_no_byte_table():
     engine.read((1 << n) - 1 ^ 0xFF)
     filled = [table is not faultcast.belief._UNFILLED for table in engine._tables]
     assert filled == [False, True, True, True, True]
+
+
+def _ring_with_drift(n):
+    """n states on a ring stepped by a (+1) and b (+3), and a silent t to
+    the next state from three states in four: dense beliefs, 383 of them
+    at n = 45, and no silent cycle."""
+    steps = [(q, e, (q + step) % n) for q in range(n) for e, step in ((0, 1), (1, 3))]
+    drift = [(q, 2, q + 1) for q in range(n - 1) if q % 4]
+    return DesModel(
+        states=tuple(f"s{q}" for q in range(n)),
+        events=(Event("a", True), Event("b", True), Event("t", False)),
+        transitions=tuple(sorted(steps + drift)),
+        initial=0,
+        faulty=frozenset(),
+    )
+
+
+def test_each_byte_position_is_built_once(monkeypatch):
+    # A position's whole table is built the first time a dense read meets a
+    # non-zero byte there, so a long dense stream and a compile on the same
+    # model build each position at most once: ceil(n/8) tables at most.
+    built = []
+    fill = _BeliefEngine._fill
+    monkeypatch.setattr(
+        _BeliefEngine, "_fill", lambda e, position: built.append(position) or fill(e, position)
+    )
+    n = 45
+    model = _ring_with_drift(n)
+    session, rng, dense = PredictionSession(model), random.Random(68), 0
+    for _ in range(2000):
+        session.feed(rng.choice("ab"))
+        dense += session._node.mask.bit_count() * 8 >= session._node.mask.bit_length()
+    assert len(compile_predictor(model).nodes) == 383
+    assert dense > 1900
+    assert 0 < len(built) == len(set(built)) <= (n + 7) // 8
+    filled = [table is not faultcast.belief._UNFILLED for table in model.belief_engine._tables]
+    assert [position for position, full in enumerate(filled) if full] == sorted(built)
+
+
+def test_touched_byte_positions_hold_whole_tables():
+    # After dense reads at widths that are not a multiple of 8, a position
+    # that some read met with a non-zero byte holds all 2^k slots of its k
+    # states, the partial last one included, and slot b is the OR of the
+    # packed rows and bounds of b's members, each built from a member loop;
+    # every other position is still _UNFILLED.
+    rng = random.Random(69)
+    events = (Event("a", True), Event("b", True), Event("t", False))
+    for n in (1, 5, 9, 15, 63, 65, 201):
+        transitions = {(rng.randrange(n), rng.randrange(3), rng.randrange(n)) for _ in range(2 * n)}
+        model = DesModel(
+            states=tuple(f"s{q}" for q in range(n)),
+            events=events,
+            transitions=tuple(sorted(transitions)),
+            initial=0,
+            faulty=frozenset(),
+        )
+        table = _table_with_ties(rng, n)
+        engine = _BeliefEngine(model, table)
+        packed = []
+        for q in range(n):
+            rows = sum(
+                mask_of(_image(model, {q}, event)) << shift
+                for event, shift in engine.shifts.items()
+            )
+            field = 1 << min(table.dmin[q], engine._inf) | 1 << min(table.dmax[q], engine._inf)
+            packed.append(rows | field << engine._field_at)
+        # One dense read that leaves out one byte position short of the last,
+        # when there are three or more; the partial last one is always read.
+        full, positions = (1 << n) - 1, (n + 7) // 8
+        skipped = rng.randrange(positions - 1) if positions > 2 else None
+        engine.read(full if skipped is None else full ^ 0xFF << 8 * skipped & full)
+        for position, slots in enumerate(engine._tables):
+            if position == skipped:
+                assert slots is faultcast.belief._UNFILLED
+                continue
+            k = min(8, n - 8 * position)
+            assert len(slots) == 1 << k
+            for byte, entry in enumerate(slots):
+                members = [8 * position + i for i in range(k) if byte >> i & 1]
+                assert entry == reduce(or_, map(packed.__getitem__, members), 0)
 
 
 # -- the byte tables against a member loop ---------------------------------

@@ -602,11 +602,13 @@ def test_package_exports_exactly_its_public_names():
 def test_cli_import_stays_off_the_oracle():
     # Only --oracle needs the reference code; with only src on the path (no
     # site-packages, no bytecode), importing the CLI must not load it.  The
-    # records are tuples, so start-up loads neither dataclasses nor inspect.
+    # records are tuples, so start-up loads neither dataclasses nor inspect,
+    # and only JSON output loads json.
     src = str(Path(faultcast.__file__).parent.parent)
     probe = (
         "import sys; sys.path.insert(0, sys.argv[1]); import faultcast.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith('faultcast') or m in ('dataclasses', 'inspect')))"
+        "print(sorted(m for m in sys.modules if m.startswith('faultcast') "
+        "or m in ('dataclasses', 'inspect', 'json')))"
     )
     result = subprocess.run(
         [sys.executable, "-I", "-B", "-S", "-c", probe, src],
@@ -617,6 +619,7 @@ def test_cli_import_stays_off_the_oracle():
     assert "faultcast.cli" in loaded
     assert "faultcast.oracle" not in loaded
     assert "dataclasses" not in loaded and "inspect" not in loaded
+    assert "json" not in loaded
 
 
 def _cli_env(unbuffered=""):

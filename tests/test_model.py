@@ -139,6 +139,28 @@ def test_semantic_equality_ignores_index_order():
     assert m1 != m3
 
 
+def test_models_neither_equal_nor_order_plain_tuples():
+    model = make_model([("a", True)], [("X", "a", "Y")], "X", faulty=["Y"])
+    fields = tuple(model)
+    # A model equals no plain tuple, its own fields included, from either side.
+    assert model != fields and fields != model
+    assert not model == fields and not fields == model
+    assert model.__eq__(fields) is False
+    assert len({model, fields}) == 2
+    for other in [(), fields, model]:
+        for compare in [
+            lambda: model < other,
+            lambda: model <= other,
+            lambda: model > other,
+            lambda: model >= other,
+            lambda: other < model,
+            lambda: sorted([model, other]),
+            lambda: sorted([other, model]),
+        ]:
+            with pytest.raises(TypeError):
+                compare()
+
+
 def test_validate_clean_fixtures(plant, fuse_short, fuse_long, fan2):
     for model in (plant, fuse_short, fuse_long, fan2):
         assert validate(model) == ()
