@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property, reduce
-from itertools import compress
 from operator import getitem, or_
 from typing import Mapping, NamedTuple, Union
 
@@ -45,9 +44,9 @@ class BeliefState(namedtuple("BeliefState", "mask interval witnesses")):
     """A non-empty set of possible states with its hull Interval.
 
     mask is the belief: bit q is set when state q is a member; members is
-    decoded from it the first time it is read, and kept in the instance's
-    __dict__.  witnesses holds the least member reaching the lower bound
-    and the least reaching the upper bound.
+    decoded from it one set bit at a time the first time it is read, and
+    kept in the instance's __dict__.  witnesses holds the least member
+    reaching the lower bound and the least reaching the upper bound.
     """
 
     @cached_property
@@ -60,20 +59,11 @@ class BeliefState(namedtuple("BeliefState", "mask interval witnesses")):
         return f"BeliefState({members=}, {interval=}, {witnesses=})"
 
 
-_BITS = bytes.maketrans(b"01", b"\x00\x01")
 # A byte position's table until it is built: slot 0, no members, holds 0.
 _UNFILLED = (0,) + (None,) * 255
 
 
 def _members(mask: int) -> list[int]:
-    """The set bits of mask, ascending."""
-    if mask.bit_count() * 8 >= mask.bit_length():
-        bits = bin(mask)[:1:-1].encode().translate(_BITS)
-        return list(compress(range(len(bits)), bits))
-    return _sparse_members(mask)
-
-
-def _sparse_members(mask: int) -> list[int]:
     """The set bits of mask, ascending, in one step per member."""
     members = []
     while mask:  # peel off the lowest set bit
@@ -114,7 +104,7 @@ class _BeliefEngine:
 
     def __init__(self, model: DesModel, table: DistanceTable):
         self.model, self.table = model, table
-        self.rows, self.width = model.closed_successors, len(model.events)
+        self.rows = model.closed_successors
         n = len(model.states)
         observable = [e for e, row in enumerate(self.rows) if row is not None]
         self.shifts = {e: k * n for k, e in enumerate(observable)}
@@ -169,7 +159,7 @@ class _BeliefEngine:
             field, inf = row >> self._field_at, self._inf
             lo, hi = (field & -field).bit_length() - 1, field.bit_length() - 1
             return row, INF if lo == inf else lo, INF if hi == inf else hi
-        members = _sparse_members(mask)
+        members = _members(mask)
         dmin, dmax = self.table.dmin.__getitem__, self.table.dmax.__getitem__
         return members, min(map(dmin, members)), max(map(dmax, members))
 
@@ -215,10 +205,10 @@ class _BeliefEngine:
     def step(self, node: _Node, event: int) -> _Node:
         """The node after observing event at node, from its row; a new
         target first flushes the engine when it is full."""
-        if not 0 <= event < self.width:
+        if not 0 <= event < len(self.rows):
             raise ImpossibleObservationError(f"unknown event index: {event}")
         if self.rows[event] is not None and (mask := self.successor(node.row, event)):
-            return self.index.get(mask) or self.node(mask)
+            return self.node(mask)
         name = self.model.events[event].name
         if self.rows[event] is None:
             raise ImpossibleObservationError(f"event {name} is not observable")

@@ -336,13 +336,7 @@ def fault_closure(model: DesModel) -> DesModel:
         )
     if closed == model.faulty:
         return model
-    return DesModel(
-        states=model.states,
-        events=model.events,
-        transitions=model.transitions,
-        initial=model.initial,
-        faulty=frozenset(closed),
-    )
+    return model._replace(faulty=frozenset(closed))
 
 
 def unobservable_closure(model: DesModel, states: Iterable[int]) -> frozenset[int]:

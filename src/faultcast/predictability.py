@@ -174,16 +174,15 @@ def is_ij_predictable(
     return QueryVerdict(False, _blocking(frontier, i, j))
 
 
-def _blocking(frontier: PredictabilityFrontier, i: int, j: ExtNat) -> Optional[HullEntry]:
-    """The first hull, in the frontier's hull order, strictly containing
-    (i, j), found by bisecting each row's tuple of upper ends."""
+def _blocking(frontier: PredictabilityFrontier, i: int, j: ExtNat) -> HullEntry:
+    """The first hull, in hull order, strictly containing (i, j), by bisecting
+    each row's upper ends; p[i] comes from these rows, so a refusal within reach has one."""
     for lo in range(i, -1, -1):
         ends = frontier.ends[lo]
         # Row i holds (i, j) strictly only above j; lower rows from j on.
         k = (bisect_right if lo == i else bisect_left)(ends, j)
         if k < len(ends):
             return frontier.rows[lo][k]
-    return None
 
 
 def is_i_predictable(frontier: PredictabilityFrontier, i: int) -> bool:

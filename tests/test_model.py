@@ -8,10 +8,12 @@ import re
 import pytest
 
 from faultcast import (
+    INF,
     DesModel,
     Event,
     InitialFaultyError,
     PredictionSession,
+    compute_distances,
     fault_closure,
     fan_system,
     make_model,
@@ -249,8 +251,12 @@ def test_fault_closure_extends_downstream(plant):
         initial=plant.initial,
         faulty=frozenset({plant.state_index["F"]}),
     )
+    g = refitted.state_index["G"]
+    assert compute_distances(refitted).dmin[g] == INF  # G is past F, not in the fault set
     closed = fault_closure(refitted)
     assert {closed.states[q] for q in closed.faulty} == {"F", "G"}
+    # The closed model builds its own table instead of the open model's cached one.
+    assert compute_distances(closed).dmin[g] == 0
     # Silent moves carry the fault too.
     m = make_model(
         [("a", True), ("h", False)],
