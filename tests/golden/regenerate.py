@@ -26,11 +26,15 @@ directory of the call.
   bench/workloads.py: on doomed-800 (1,789 hulls) accepts, refusals
   blocked in row i, j = inf and a lead time past dmin(initial); on
   monitor-200 i = 0..3 with j = i and j = inf, where (1, inf) and
-  (2, inf) are refused by a hull of a lower row; and doomed-800's
-  `compile --cap 12000` refusal.
+  (2, inf) are refused by a hull of a lower row; doomed-800's
+  `compile --cap 12000` refusal; `distances` on both inputs, one row
+  per state in index order; and `predict` on monitor-200's stream 0,
+  4,000 event names.
 
 tests/test_golden.py replays every record through `cli.main` and requires
-the same answers.
+the same answers.  It also pins, by sha256, two bench-scale answers too
+big to record: a 1,426-query grid on doomed-800 and monitor-200's
+12.6 MB `compile --json -`, both computed from bench.json's model texts.
 
 Run from the repository root, after a change that is meant to alter an
 answer, and review the diff of the four files:
@@ -262,6 +266,9 @@ def bench_records() -> dict:
         calls.append((["predictability", name], "", None))
         calls += [(["query", "--witness", "-i", str(i), "-j", str(j), name], "", None) for i, j in queries]
     calls.append((["compile", "--cap", "12000", "doomed800.des"], "", None))
+    calls += [(["distances", name], "", None) for name in BENCH_QUERIES]
+    stream = "".join(f"{name}\n" for name in GENERATORS["monitor-200"](1).stream_names(0))
+    calls.append((["predict", "monitor200.des"], stream, None))
     return {"models": texts, "records": replay(texts, calls)}
 
 

@@ -599,27 +599,33 @@ def test_package_exports_exactly_its_public_names():
     assert sorted(faultcast.__all__) == sorted(bound)
 
 
-def test_cli_import_stays_off_the_oracle():
-    # Only --oracle needs the reference code; with only src on the path (no
-    # site-packages, no bytecode), importing the CLI must not load it.  The
-    # records are tuples, so start-up loads neither dataclasses nor inspect,
-    # and only JSON output loads json.
+def test_imports_load_only_the_modules_they_need():
+    # One child, with only src on the path (no site-packages, no tests/, no
+    # bytecode), imports the library, the CLI and the oracle in turn and
+    # lists sys.modules after each.  The library loads neither the CLI nor
+    # the oracle; the CLI loads no oracle (only --oracle needs it), neither
+    # dataclasses nor inspect (the records are tuples) and no json (only JSON
+    # output needs it); and nothing loads a module outside the standard library.
     src = str(Path(faultcast.__file__).parent.parent)
     probe = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import faultcast.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith('faultcast') "
-        "or m in ('dataclasses', 'inspect', 'json')))"
+        "import sys; sys.path.insert(0, sys.argv[1]); seen = []\n"
+        "for name in ('faultcast', 'faultcast.cli', 'faultcast.oracle'):\n"
+        "    __import__(name); seen.append(sorted(sys.modules))\n"
+        "print(seen)"
     )
     result = subprocess.run(
         [sys.executable, "-I", "-B", "-S", "-c", probe, src],
         capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    loaded = ast.literal_eval(result.stdout)
-    assert "faultcast.cli" in loaded
-    assert "faultcast.oracle" not in loaded
-    assert "dataclasses" not in loaded and "inspect" not in loaded
-    assert "json" not in loaded
+    library, cli, oracle = map(set, ast.literal_eval(result.stdout))
+    assert "faultcast" in library
+    assert {"faultcast.oracle", "faultcast.cli"} & library == set()
+    assert "faultcast.cli" in cli
+    assert {"faultcast.oracle", "dataclasses", "inspect", "json"} & cli == set()
+    assert "faultcast.oracle" in oracle
+    tops = {name.partition(".")[0] for name in oracle}
+    assert tops - set(sys.stdlib_module_names) - {"__main__", "faultcast"} == set()
 
 
 def _cli_env(unbuffered=""):
